@@ -54,6 +54,8 @@ class RunConfig:
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
     nr_override: int | None = None
     max_order: float = 45.0
+    # largest dim at which LAPACK replaces an ARPACK result holding a
+    # degenerate cluster; everywhere else ARPACK runs unless count >= dim - 1
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
     output_dir: str = "out"
     gamma_values: tuple[float, ...] = field(default_factory=lambda: tuple(default_gamma_grid()))
@@ -237,7 +239,12 @@ def _mode_levels(cfg, outdir, cfg_hash, manifest, workers):
         cfg.model, cfg.laser.omega_l, cfg.max_order, cfg.nr_override, cfg.dense_threshold
     )
     with open(outdir / "levels.txt", "w") as fh:
-        export_levels(eig, cfg.laser.omega_l, fh, _header(cfg_hash, "levels"))
+        export_levels(
+            eig.energies,
+            state_relevance(eig, cfg.laser.omega_l),
+            fh,
+            _header(cfg_hash, "levels"),
+        )
     manifest.append("levels.txt")
     return 0
 
@@ -253,15 +260,7 @@ def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
     )
     header = _header(cfg_hash, "run")
     with open(outdir / "levels.txt", "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("# index\tenergy\tharmonic_order\tlog10_Tgs2\n")
-        summary = result.summary
-        for m in range(summary.nr):
-            fh.write(
-                f"{m}\t{summary.energies[m]:.15g}\t"
-                f"{summary.relevance[m, 0]:.15g}\t{summary.relevance[m, 1]:.15g}\n"
-            )
+        export_levels(result.summary.energies, result.summary.relevance, fh, header)
     manifest.append("levels.txt")
     with open(outdir / "timeseries.txt", "w") as fh:
         export_timeseries(result.timeseries, cfg.laser, fh, header)

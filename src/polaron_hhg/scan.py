@@ -48,6 +48,8 @@ class ScanSpec:
     l_values: tuple[int, ...] = (1, 3, 5, 6)
     max_order: float = 45.0
     nr_override: int | None = None
+    # largest dim at which LAPACK replaces an ARPACK result holding a
+    # degenerate cluster (see ``eigensolve_lowest``)
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
 
 
@@ -83,27 +85,30 @@ def solve_eigenbasis(
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
     initial_count: int = _INITIAL_COUNT,
 ) -> EigenBasis:
-    """Diagonalize, grow the Krylov block until the order window is covered,
-    then truncate to the selected state count and attach the transition matrix.
+    """Grow the computed block until the order window is covered, then
+    truncate to the selected state count and attach the transition matrix.
+
+    The block starts at ``initial_count`` pairs (or ``nr_override``) and
+    doubles until its top energy lies ``max_order`` laser quanta above the
+    ground state, or it holds all ``dim`` states.  Each block comes from
+    :func:`eigensolve_lowest`, so ARPACK computes it unless it spans
+    nearly the whole space or, up to ``dense_threshold`` states, holds a
+    degenerate level; then LAPACK does.
     """
     basis = BasisIndex(model)
     h = build_hamiltonian(model, basis)
     x = build_position(model, basis)
     dim = basis.dim
 
-    if dim <= dense_threshold:
-        count = dim
+    count = min(dim, max(initial_count, nr_override or 1))
+    while True:
         eig = eigensolve_lowest(h, count, dense_threshold)
-    else:
-        count = min(dim - 1, max(initial_count, nr_override or 1))
-        while True:
-            eig = eigensolve_lowest(h, count, dense_threshold)
-            covered = (eig.energies[-1] - eig.energies[0]) / omega_l
-            if nr_override is not None and count >= nr_override:
-                break
-            if covered >= max_order or count >= dim - 1:
-                break
-            count = min(2 * count, dim - 1)
+        covered = (eig.energies[-1] - eig.energies[0]) / omega_l
+        if nr_override is not None and count >= nr_override:
+            break
+        if covered >= max_order or count >= dim:
+            break
+        count = min(2 * count, dim)
 
     nr = select_nr(eig.energies, omega_l, max_order, nr_override)
     return with_transition(eig.truncated(nr), x)

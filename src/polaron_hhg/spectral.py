@@ -1,8 +1,13 @@
 """Lowest eigenpairs of the field-free Hamiltonian and the dipole transition matrix.
 
-Small problems are diagonalized densely (LAPACK, lowest-``count``
-subset); large ones go through ARPACK's implicitly restarted Lanczos
-with full reorthogonalization.  Both paths return ascending energies,
+Eigenpairs come from ARPACK's implicitly restarted Lanczos (Lehoucq,
+Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), started from one
+fixed generic vector so that every call gives the same bits.  LAPACK
+(dense, lowest-``count`` subset) stands in only where ARPACK cannot give
+the answer: when ``count >= dim - 1``, which ARPACK does not accept, and,
+up to ``dense_threshold`` states, when the Lanczos result holds a
+degenerate cluster, because single-vector Lanczos finds only some copies
+of an exactly degenerate level.  Both paths return ascending energies,
 orthonormal vectors with a fixed sign convention, and verified
 residuals.
 """
@@ -21,6 +26,7 @@ from .operators import SparseOperator
 
 logger = logging.getLogger(__name__)
 
+# largest dim at which LAPACK may stand in for ARPACK on a degenerate result
 DENSE_THRESHOLD_DEFAULT = 5000
 
 _RESIDUAL_TOL = 1e-8
@@ -93,6 +99,33 @@ def _verify(h, energies: np.ndarray, vectors: np.ndarray) -> None:
         raise EigensolveError(f"orthonormality defect {off:.3e}", residuals=norms)
 
 
+def _lapack_lowest(op: SparseOperator, count: int):
+    return scipy.linalg.eigh(
+        op.to_dense(), subset_by_index=(0, count - 1), check_finite=False
+    )
+
+
+def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
+    # a fixed start vector makes the result reproducible; it must be generic,
+    # since a symmetric one (all ones, say) is even under chain inversion and
+    # would leave the odd states out of the Krylov space
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
+    try:
+        return scipy.sparse.linalg.eigsh(
+            op.matrix, k=count, which="SA", tol=1e-10, maxiter=max_iterations, v0=v0
+        )
+    except ArpackNoConvergence as exc:
+        res = None
+        if exc.eigenvalues is not None and len(exc.eigenvalues):
+            res = np.linalg.norm(
+                op.matrix @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues,
+                axis=0,
+            )
+        raise EigensolveError(
+            f"Lanczos did not converge for k={count}, dim={op.dim}", residuals=res
+        ) from exc
+
+
 def eigensolve_lowest(
     op: SparseOperator,
     count: int,
@@ -101,34 +134,26 @@ def eigensolve_lowest(
 ) -> EigenBasis:
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
-    Dense LAPACK below ``dense_threshold`` (and whenever ARPACK cannot be
-    used, i.e. count >= dim - 1); Lanczos with reorthogonalization above.
-    Raises :class:`EigensolveError` on non-convergence or bad residuals.
+    ARPACK Lanczos from a fixed start vector wherever it can run
+    (``count < dim - 1``).  LAPACK takes over where ARPACK cannot give
+    the answer: for ``count >= dim - 1``, and, when ``dim <=
+    dense_threshold``, for a Lanczos result holding a degenerate cluster,
+    whose other copies Lanczos may have missed.  Above ``dense_threshold``
+    the Lanczos result stands as it is.  Raises :class:`EigensolveError`
+    on non-convergence or bad residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} outside [1, {dim}]")
 
-    if dim <= dense_threshold or count >= dim - 1:
-        dense = op.to_dense()
-        energies, vectors = scipy.linalg.eigh(
-            dense, subset_by_index=(0, count - 1), check_finite=False
-        )
+    if count >= dim - 1:
+        energies, vectors = _lapack_lowest(op, count)
     else:
-        try:
-            energies, vectors = scipy.sparse.linalg.eigsh(
-                op.matrix, k=count, which="SA", tol=1e-10, maxiter=max_iterations
-            )
-        except ArpackNoConvergence as exc:
-            res = None
-            if exc.eigenvalues is not None and len(exc.eigenvalues):
-                res = np.linalg.norm(
-                    op.matrix @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues,
-                    axis=0,
-                )
-            raise EigensolveError(
-                f"Lanczos did not converge for k={count}, dim={dim}", residuals=res
-            ) from exc
+        energies, vectors = _arpack_lowest(op, count, max_iterations)
+        if dim <= dense_threshold and any(
+            len(c) > 1 for c in degenerate_clusters(np.sort(energies))
+        ):
+            energies, vectors = _lapack_lowest(op, count)
 
     order = np.argsort(energies, kind="stable")
     energies = np.ascontiguousarray(energies[order])
@@ -219,13 +244,15 @@ def degenerate_clusters(energies: np.ndarray, tol: float = _DEGENERACY_TOL):
     return clusters
 
 
-def export_levels(eig: EigenBasis, omega_l: float, fh, header_lines=()) -> None:
-    """Write the (index, energy, harmonic_order, log10_Tgs2) level table."""
-    rel = state_relevance(eig, omega_l)
+def export_levels(energies: np.ndarray, relevance: np.ndarray, fh, header_lines=()) -> None:
+    """Write the (index, energy, harmonic_order, log10_Tgs2) level table.
+
+    ``relevance`` holds the per-state rows of :func:`state_relevance`.
+    """
     for line in header_lines:
         fh.write(f"# {line}\n")
     fh.write("# index\tenergy\tharmonic_order\tlog10_Tgs2\n")
-    for m in range(eig.nr):
+    for m in range(len(energies)):
         fh.write(
-            f"{m}\t{eig.energies[m]:.15g}\t{rel[m, 0]:.15g}\t{rel[m, 1]:.15g}\n"
+            f"{m}\t{energies[m]:.15g}\t{relevance[m, 0]:.15g}\t{relevance[m, 1]:.15g}\n"
         )

@@ -114,6 +114,25 @@ def test_run_mode_reproducible_across_directories(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_run_and_levels_write_the_same_level_rows(tmp_path):
+    # dim 324 above the lowered threshold: both modes solve on the ARPACK path
+    cfg = _write(
+        tmp_path,
+        "[model]\nn_cells = 2\nphonon_cutoff = 3\n\n"
+        "[propagation]\nn_steps = 16384\n\n"
+        "[run]\nmax_order = 20\ndense_threshold = 100\n",
+    )
+    rows = {}
+    for mode in ("run", "levels"):
+        out = tmp_path / mode
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        rows[mode] = [
+            l for l in (out / "levels.txt").read_text().splitlines() if not l.startswith("#")
+        ]
+    assert len(rows["run"]) > 1
+    assert rows["run"] == rows["levels"]
+
+
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, TINY)

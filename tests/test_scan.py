@@ -5,6 +5,7 @@ import pytest
 
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import BasisIndex, ModelParams
+from polaron_hhg.operators import build_hamiltonian
 from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
@@ -64,6 +65,53 @@ def test_decoupled_phonons_are_spectators():
     assert np.abs(quanta - np.rint(quanta)).max() <= 1e-12
     dark = np.rint(quanta) > 0
     assert np.abs(eig.gs_transition[dark]).max() <= 1e-12
+
+
+# dim 324 above this threshold: every solve below runs ARPACK, and a
+# degenerate result is not handed to LAPACK
+ARPACK_MODEL = ModelParams(n_cells=2, phonon_cutoff=3)
+ARPACK_THRESHOLD = 100
+
+
+def test_arpack_solve_is_reproducible():
+    a = solve_eigenbasis(ARPACK_MODEL, LASER.omega_l, dense_threshold=ARPACK_THRESHOLD)
+    b = solve_eigenbasis(ARPACK_MODEL, LASER.omega_l, dense_threshold=ARPACK_THRESHOLD)
+    assert a.nr == b.nr
+    assert np.array_equal(a.energies, b.energies)
+    assert np.array_equal(a.transition, b.transition)
+
+
+def test_arpack_gamma_scan_worker_count_invariance():
+    spec = ScanSpec(
+        model=ARPACK_MODEL,
+        laser=LASER,
+        propagation=CFG15,
+        gamma_values=(-0.02, -0.01),
+        dense_threshold=ARPACK_THRESHOLD,
+    )
+    serial = gamma_scan(spec, workers=1)
+    parallel = gamma_scan(spec, workers=2)
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a.summary.energies, b.summary.energies)
+        assert np.array_equal(a.summary.relevance, b.summary.relevance)
+        assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
+
+
+def test_degenerate_window_is_complete():
+    # at gamma = 0 the levels are the L=1 chain levels dressed with every
+    # phonon configuration, so e0 + 2 omega_ph is 21-fold degenerate (and
+    # more levels besides); Lanczos alone keeps only some copies
+    model = ModelParams(gamma=0.0)
+    eig = solve_eigenbasis(model, LASER.omega_l)
+    chain = ModelParams(phonon_cutoff=1)
+    h1 = build_hamiltonian(chain, BasisIndex(chain)).to_dense()
+    ns = 2 * model.n_cells
+    quanta = np.indices((model.phonon_cutoff,) * ns).reshape(ns, -1).sum(axis=0)
+    dressed = np.sort(
+        (np.linalg.eigvalsh(h1)[:, None] + model.omega_ph * quanta[None, :]).ravel()
+    )
+    assert eig.nr == 36
+    assert np.abs(eig.energies - dressed[:36]).max() <= 1e-12
 
 
 def test_gamma_scan_records_failures_and_continues():

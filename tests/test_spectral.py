@@ -65,7 +65,8 @@ def test_dense_and_iterative_solvers_agree():
     model = ModelParams(n_cells=2, phonon_cutoff=3)  # dim 324
     basis = BasisIndex(model)
     h = build_hamiltonian(model, basis)
-    dense = eigensolve_lowest(h, 12, dense_threshold=5000)
+    # LAPACK over the whole space (count = dim), ARPACK for 12 pairs
+    dense = eigensolve_lowest(h, basis.dim).truncated(12)
     krylov = eigensolve_lowest(h, 12, dense_threshold=100)
     assert np.abs(dense.energies - krylov.energies).max() <= 1e-8
     # subspaces match: cross-gram is unitary block-diagonal over clusters
@@ -210,7 +211,7 @@ def test_export_levels_format():
     basis = BasisIndex(model)
     eig = with_transition(_solve(model), build_position(model, basis))
     buf = io.StringIO()
-    export_levels(eig, OMEGA_L, buf, header_lines=["demo"])
+    export_levels(eig.energies, state_relevance(eig, OMEGA_L), buf, header_lines=["demo"])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# demo"
     data = [l for l in lines if not l.startswith("#")]
