@@ -15,7 +15,6 @@ from .dynamics import (
     TimeSeries,
     density_expectation,
     propagate,
-    rhs,
     rotate_operator,
 )
 from .hilbert import (
@@ -98,7 +97,6 @@ __all__ = [
     "hann_window",
     "harmonic_order",
     "propagate",
-    "rhs",
     "rotate_operator",
     "run_point",
     "select_nr",

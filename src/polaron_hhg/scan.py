@@ -10,10 +10,15 @@ order.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .dynamics import PropagationConfig, TimeSeries, propagate
 from .hilbert import BasisIndex, ModelParams
@@ -77,6 +82,48 @@ class PointFailure:
     message: str
 
 
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count entry points of the bundled OpenBLAS builds.
+
+    Looks in the OpenBLAS libraries that numpy and scipy ship; the list
+    is empty where there are none (another BLAS, or a system build).
+    """
+    controls = []
+    for module in (np, scipy):
+        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for lib in sorted(libs.glob("lib*openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return controls
+
+
+def _one_blas_thread_worker() -> None:
+    """Pool initializer: this worker runs OpenBLAS on one thread."""
+    for _, put in _openblas_thread_controls():
+        put(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore the count."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
 def solve_eigenbasis(
     model: ModelParams,
     omega_l: float,
@@ -127,7 +174,10 @@ def run_point(
     eig = solve_eigenbasis(
         model, laser.omega_l, max_order, nr_override, dense_threshold
     )
-    ts = propagate(eig, basis, laser, cfg)
+    # the propagator's BLAS calls are too small to gain from more threads,
+    # and idle OpenBLAS threads spin between them
+    with _one_blas_thread():
+        ts = propagate(eig, basis, laser, cfg)
     spec = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, laser.omega_l)
     summary = PointSummary(
         eps_gs=float(eig.energies[0]),
@@ -160,11 +210,17 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     """One pipeline run per coupling value; failures recorded in place.
 
     Results come back ordered by grid index whatever the worker count.
+    Every point runs OpenBLAS on one thread, in the serial path (for the
+    length of the scan) and in each pool worker alike: workers sharing
+    the cores then do not starve each other with spinning BLAS threads,
+    and since ARPACK's rounding depends on the BLAS thread count, the
+    results stay bitwise equal for any worker count.
     """
     tasks = [(spec, float(g)) for g in spec.gamma_values]
     if workers <= 1:
-        return [_gamma_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _one_blas_thread():
+            return [_gamma_point(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
         return list(pool.map(_gamma_point, tasks))
 
 

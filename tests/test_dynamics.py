@@ -1,15 +1,19 @@
 """Propagator: RK4 correctness, norm behavior, observables, error paths."""
 
+import io
+
 import numpy as np
 import pytest
 
 from polaron_hhg.dynamics import (
+    _EXPORT_ROWS,
     HermiticityError,
     PropagationConfig,
     PropagationDivergedError,
+    TimeSeries,
     density_expectation,
+    export_timeseries,
     propagate,
-    rhs,
     rotate_operator,
 )
 from polaron_hhg.hilbert import BasisIndex, ModelParams
@@ -30,36 +34,56 @@ def _eig(model, **kw):
     return solve_eigenbasis(model, LaserParams().omega_l, **kw)
 
 
-def _manual_eig(energies, transition):
+def _manual_eig(energies, transition, dim=None):
     energies = np.asarray(energies, dtype=float)
     nr = len(energies)
     return EigenBasis(
         energies=energies,
-        vectors=np.eye(nr),
+        vectors=np.eye(dim or nr, nr),
         transition=np.asarray(transition, dtype=float),
         gs_transition=np.asarray(transition, dtype=float)[0].copy(),
     )
 
 
-def test_rhs_stationary_ground_state():
-    eig = _manual_eig([0.3, 0.5], [[0.0, 1.0], [1.0, 0.0]])
-    laser = LaserParams()
-    a = np.array([1.0 + 0j, 0.0])
-    out = rhs(a, -5.0, eig, laser)  # outside the pulse window, E = 0
-    assert np.allclose(out, -1j * 0.3 * a, atol=1e-15)
-    assert np.allclose(rhs(np.zeros(2, complex), 1.0, eig, laser), 0.0)
+def _rk4ip_reference(eig, laser, n_steps, a0):
+    """Stage-by-stage RK4IP: phase to the midpoint, four RK4 stages on E(t) T."""
+    tf = laser.t_final()
+    dt = tf / n_steps
+    t = eig.transition
+    phase = np.exp(-0.5j * dt * (eig.energies - eig.energies[0]))
+    a = np.asarray(a0, dtype=complex)
+    dipole, norms = [], []
+    for i in range(n_steps):
+        c1, c2, c3 = (-1j * dt * electric_field((i + f) * dt, laser) for f in (0.0, 0.5, 1.0))
+        dipole.append(np.vdot(a, t @ a).real)
+        norms.append(np.vdot(a, a).real)
+        a_mid = phase * a
+        k1 = c1 * (phase * (t @ a))
+        k2 = c2 * (t @ (a_mid + 0.5 * k1))
+        k3 = c2 * (t @ (a_mid + 0.5 * k2))
+        k4 = c3 * (t @ (phase * (a_mid + k3)))
+        a = phase * (a_mid + (k1 + 2.0 * (k2 + k3)) / 6.0) + k4 / 6.0
+    return a * np.exp(-1j * eig.energies[0] * tf), np.array(dipole), np.array(norms)
 
 
-def test_rhs_matches_dense_matvec():
-    rng = np.random.default_rng(7)
-    t_sym = rng.normal(size=(2, 2))
-    t_sym = t_sym + t_sym.T
-    eig = _manual_eig([0.1, 0.4], t_sym)
+def test_step_matches_stage_by_stage_rk4ip():
+    # a random Hermitian 3-level system driven hard enough (|dt E T| up to
+    # about 0.03, phases up to 0.8 rad a step) that every term of the
+    # expanded step matters far above 1e-14
+    rng = np.random.default_rng(5)
     laser = LaserParams()
-    t = 1234.5
-    a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    h_eff = np.diag(eig.energies) + electric_field(t, laser) * t_sym
-    assert np.allclose(rhs(a, t, eig, laser), -1j * (h_eff @ a), atol=1e-15)
+    n_steps = 4
+    dt = laser.t_final() / n_steps
+    t = rng.normal(size=(3, 3)) * 0.005
+    eig = _manual_eig(np.sort(rng.uniform(0.0, 0.8 / dt, 3)), t + t.T, dim=8)
+    basis = BasisIndex(ModelParams(n_cells=1, phonon_cutoff=2))
+    a0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    a0 /= np.linalg.norm(a0)
+    ts = propagate(eig, basis, laser, PropagationConfig(n_steps=n_steps), a0=a0)
+    a_ref, dipole_ref, norms_ref = _rk4ip_reference(eig, laser, n_steps, a0)
+    assert np.abs(ts.a_final - a_ref).max() <= 1e-14
+    assert np.abs(ts.dipole_full - dipole_ref).max() <= 1e-14
+    assert np.abs(ts.amplitudes_norm - norms_ref).max() <= 1e-14
 
 
 def test_field_free_evolution_is_stationary():
@@ -141,8 +165,14 @@ def test_stability_guard_rejects_large_steps():
 def test_divergence_error_on_violent_coupling():
     eig = _manual_eig([0.0, 1e-4], [[0.0, 5e4], [5e4, 0.0]])
     basis = BasisIndex(TWO_SITE)
-    with pytest.raises(PropagationDivergedError):
+    with pytest.raises(PropagationDivergedError, match="at step 3745"):
         propagate(eig, basis, LaserParams(), PropagationConfig(n_steps=2**16))
+
+
+def test_nan_norm_counts_as_divergence():
+    eig = _manual_eig([0.0, 1e-4], [[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(PropagationDivergedError, match="at step 1;"):
+        propagate(eig, BasisIndex(TWO_SITE), LaserParams(), PropagationConfig(n_steps=2**10))
 
 
 def test_initial_state_validation():
@@ -212,14 +242,51 @@ def test_timeseries_grids():
     eig = _eig(model)
     basis = BasisIndex(model)
     laser = LaserParams()
-    cfg = PropagationConfig(n_steps=2**14, record_stride=4)
-    ts = propagate(eig, basis, laser, cfg)
-    assert ts.dipole_full.shape == (2**14,)
-    assert ts.times.shape == (2**12,)
-    assert ts.times[0] == 0.0
-    dt_sample = ts.times[1] - ts.times[0]
-    assert dt_sample == pytest.approx(4 * ts.dt, rel=1e-15)
-    assert np.array_equal(ts.dipole, ts.dipole_full[::4])
+    # the second stride does not divide the propagator's block length
+    for n_steps, stride in ((2**14, 4), (3000, 3)):
+        cfg = PropagationConfig(n_steps=n_steps, record_stride=stride)
+        ts = propagate(eig, basis, laser, cfg)
+        assert ts.dipole_full.shape == (n_steps,)
+        assert ts.times.shape == (n_steps // stride,)
+        assert ts.times[0] == 0.0
+        dt_sample = ts.times[1] - ts.times[0]
+        assert dt_sample == pytest.approx(stride * ts.dt, rel=1e-15)
+        assert np.array_equal(ts.dipole, ts.dipole_full[::stride])
+        # the sampled densities sit on the rows of the sampled norms
+        assert np.abs(ts.electron_density.sum(axis=1) - ts.amplitudes_norm).max() <= 1e-12
+
+
+def test_export_timeseries_matches_per_element_format():
+    # three chunks, the last one partial; values that stress the format
+    rng = np.random.default_rng(3)
+    n = 2 * _EXPORT_ROWS + 5
+    e_dens = rng.uniform(0.0, 1.0, (n, 2))
+    e_dens[0] = [-0.0, 1e-300]
+    p_dens = -rng.uniform(0.0, 1e3, (n, 2))
+    ts = TimeSeries(
+        times=np.arange(n) * 0.75,
+        amplitudes_norm=1.0 + rng.normal(size=n) * 1e-13,
+        dipole=rng.normal(size=n),
+        electron_density=e_dens,
+        phonon_density=p_dens,
+        dipole_full=np.zeros(n),
+    )
+    laser = LaserParams()
+    buf = io.StringIO()
+    export_timeseries(ts, laser, buf, ["a header"])
+
+    e_vals = electric_field(ts.times, laser)
+    expected = ["# a header\n", "# t\tE\tdipole\tnorm\tn_e_0\tn_e_1\tn_ph_0\tn_ph_1\n"]
+    for s in range(n):
+        row = [ts.times[s], e_vals[s], ts.dipole[s], ts.amplitudes_norm[s]]
+        row.extend(ts.electron_density[s])
+        row.extend(ts.phonon_density[s])
+        expected.append("\t".join(f"{x:.15g}" for x in row) + "\n")
+    got = buf.getvalue().splitlines(keepends=True)
+    assert len(got) == len(expected)
+    bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {expected[bad[0]]!r}"
+    assert "\t-0\t1e-300\t" in got[2]
 
 
 def test_transition_required():
@@ -230,8 +297,6 @@ def test_transition_required():
     bare = eigensolve_lowest(build_hamiltonian(model, basis), 2)
     with pytest.raises(ValueError):
         propagate(bare, basis, LaserParams(), PropagationConfig(n_steps=2**14))
-    with pytest.raises(ValueError):
-        rhs(np.zeros(2, complex), 0.0, bare, LaserParams())
 
 
 def test_fourth_order_convergence_on_two_level_system():

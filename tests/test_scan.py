@@ -9,6 +9,7 @@ from polaron_hhg.operators import build_hamiltonian
 from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
+    _openblas_thread_controls,
     PointResult,
     ScanSpec,
     convergence_study,
@@ -95,6 +96,32 @@ def test_arpack_gamma_scan_worker_count_invariance():
         assert np.array_equal(a.summary.energies, b.summary.energies)
         assert np.array_equal(a.summary.relevance, b.summary.relevance)
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
+
+
+def test_paper_model_gamma_scan_worker_count_invariance():
+    # at dim 4374 the serial path runs OpenBLAS on its default threads and
+    # each pool worker on one; the results must not depend on which
+    spec = ScanSpec(
+        model=ModelParams(),
+        laser=LASER,
+        propagation=PropagationConfig(n_steps=2**12, record_stride=2**6),
+        gamma_values=(-0.03, -0.01),
+    )
+    serial = gamma_scan(spec, workers=1)
+    parallel = gamma_scan(spec, workers=2)
+    for a, b in zip(serial, parallel):
+        assert isinstance(a, PointResult) and isinstance(b, PointResult)
+        assert np.array_equal(a.summary.energies, b.summary.energies)
+        assert np.array_equal(a.timeseries.dipole_full, b.timeseries.dipole_full)
+        assert np.array_equal(a.timeseries.electron_density, b.timeseries.electron_density)
+        assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
+
+
+def test_serial_scan_restores_blas_threads():
+    before = [get() for get, _ in _openblas_thread_controls()]
+    spec = ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, gamma_values=(-0.01,))
+    gamma_scan(spec, workers=1)
+    assert [get() for get, _ in _openblas_thread_controls()] == before
 
 
 def test_degenerate_window_is_complete():
