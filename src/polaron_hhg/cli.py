@@ -1,12 +1,16 @@
 """Command-line front end: config parsing, pipeline invocation, file emission.
 
 Runs are driven by a flat INI file with sections [model], [laser],
-[propagation] and [run]; every key is optional and defaults to the
-reference parameter set.  Unknown sections or keys are errors.  All
+[propagation] and [run].  Each key is a field of a settings dataclass:
+[model], [laser] and [propagation] hold the fields of ``ModelParams``,
+``LaserParams`` and ``PropagationConfig``, and [run] the other fields of
+``RunConfig``.  Every key is optional and defaults to the field's default,
+the reference parameter set.  Unknown sections or keys are errors.  All
 artifacts land inside the chosen output directory, each starting with a
 comment header that records the tool version and a hash of the fully
 resolved configuration; the resolved configuration itself is echoed to
-``resolved.ini`` and a ``manifest.txt`` lists the completed artifacts.
+``resolved.ini``, which can be passed back as ``--config`` to repeat the
+run, and a ``manifest.txt`` lists the completed artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +32,6 @@ from .scan import (
     ScanSpec,
     convergence_study,
     correlation_map,
-    default_gamma_grid,
     export_convergence,
     export_heatmap,
     export_relevance,
@@ -35,7 +39,7 @@ from .scan import (
     run_point,
     solve_eigenbasis,
 )
-from .spectral import DENSE_THRESHOLD_DEFAULT, export_levels, state_relevance
+from .spectral import export_levels, state_relevance
 from .spectrum import export_spectrum
 
 MODES = ("levels", "run", "gamma-scan", "converge", "correlate")
@@ -48,35 +52,29 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    model: ModelParams = field(default_factory=ModelParams)
-    laser: LaserParams = field(default_factory=LaserParams)
-    propagation: PropagationConfig = field(default_factory=PropagationConfig)
-    nr_override: int | None = None
-    max_order: float = 45.0
-    # largest dim at which LAPACK replaces an ARPACK result holding a
-    # degenerate cluster; everywhere else ARPACK runs unless count >= dim - 1
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT
+class RunConfig(ScanSpec):
+    """A :class:`ScanSpec` plus the settings only the CLI reads."""
+
     output_dir: str = "out"
-    gamma_values: tuple[float, ...] = field(default_factory=lambda: tuple(default_gamma_grid()))
-    l_values: tuple[int, ...] = (1, 3, 5, 6)
-    correlate_states: tuple[int, ...] | None = None  # None = ground + top-3 coupled
+    # None = ground + top-3 coupled, written and read as "auto"
+    correlate_states: tuple[int, ...] | None = field(default=None, metadata={"none": "auto"})
 
 
-_SCHEMA = {
-    "model": {"v", "w", "gamma", "omega_ph", "n_cells", "phonon_cutoff", "d"},
-    "laser": {"a0", "omega_l", "n_cyc"},
-    "propagation": {"n_steps", "record_stride"},
-    "run": {
-        "nr_override",
-        "max_order",
-        "dense_threshold",
-        "output_dir",
-        "gamma_values",
-        "l_values",
-        "correlate_states",
-    },
+# INI section -> the dataclass whose fields are its keys; the first three
+# are also the names of RunConfig's fields, and [run] holds its others
+_SECTIONS = {
+    "model": ModelParams,
+    "laser": LaserParams,
+    "propagation": PropagationConfig,
+    "run": RunConfig,
 }
+
+
+def _section_fields(section: str) -> list:
+    """(field, type) per key of ``section``, in field order."""
+    cls = _SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.name not in _SECTIONS]
 
 
 def _convert(section: str, key: str, raw: str, kind):
@@ -86,12 +84,60 @@ def _convert(section: str, key: str, raw: str, kind):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_convert(section, key, tok.strip(), float) for tok in raw.split(",") if tok.strip())
+def _parse_value(section: str, f, kind, raw: str):
+    """Parse ``raw`` by the field's type: scalar, comma-separated tuple,
+    or optional, where a blank value (or the field's word for None) is None."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if raw.strip() in ("", f.metadata.get("none", "")):
+            return None
+        (kind,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(
+            _convert(section, f.name, tok.strip(), item) for tok in raw.split(",") if tok.strip()
+        )
+    return _convert(section, f.name, raw, kind)
 
 
-def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_convert(section, key, tok.strip(), int) for tok in raw.split(",") if tok.strip())
+def _format_value(f, value) -> str:
+    """Inverse of :func:`_parse_value`; ``repr`` keeps every float bit."""
+    if value is None:
+        return f.metadata.get("none", "")
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value)
+
+
+def _check_run_value(key: str, value) -> None:
+    """Constraints the CLI puts on [run] values beyond the library's own;
+    a library ``ScanSpec`` with a positive coupling records a failed point."""
+    if key == "nr_override" and value is not None and value < 1:
+        raise ConfigError(f"[run] nr_override must be >= 1, got {value}")
+    if key == "max_order" and value < 0:
+        raise ConfigError(f"[run] max_order must be >= 0, got {value}")
+    if key == "gamma_values":
+        if not value:
+            raise ConfigError("[run] gamma_values is empty")
+        for g in value:
+            if g > 0:
+                raise ConfigError(f"[run] gamma_values: gamma must be <= 0, got {g}")
+    if key == "l_values":
+        if not value or any(l < 1 for l in value):
+            raise ConfigError("[run] l_values must be a list of cutoffs >= 1")
+        if list(value) != sorted(value):
+            raise ConfigError(f"[run] l_values must be ascending, got {value}")
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """Values of the keys the file sets in ``section``, checked in field order."""
+    values = {}
+    for f, kind in _section_fields(section):
+        if parser.has_option(section, f.name):
+            values[f.name] = _parse_value(section, f, kind, parser.get(section, f.name))
+            if section == "run":
+                _check_run_value(f.name, values[f.name])
+    return values
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -107,118 +153,38 @@ def parse_config(path: str | None) -> RunConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        keys = {f.name for f, _ in _section_fields(section)}
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    def get(section, key, default, kind):
-        if parser.has_option(section, key):
-            return _convert(section, key, parser.get(section, key), kind)
-        return default
-
-    try:
-        model = ModelParams(
-            v=get("model", "v", -0.073, float),
-            w=get("model", "w", -0.104, float),
-            gamma=get("model", "gamma", -0.025, float),
-            omega_ph=get("model", "omega_ph", 0.036, float),
-            n_cells=get("model", "n_cells", 3, int),
-            phonon_cutoff=get("model", "phonon_cutoff", 3, int),
-            d=get("model", "d", 2.0, float),
-        )
-        laser = LaserParams(
-            a0=get("laser", "a0", 0.183, float),
-            omega_l=get("laser", "omega_l", 0.002, float),
-            n_cyc=get("laser", "n_cyc", 5, int),
-        )
-        propagation = PropagationConfig(
-            n_steps=get("propagation", "n_steps", 2**16, int),
-            record_stride=get("propagation", "record_stride", 1, int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    nr_override = get("run", "nr_override", None, int)
-    if nr_override is not None and nr_override < 1:
-        raise ConfigError(f"[run] nr_override must be >= 1, got {nr_override}")
-    max_order = get("run", "max_order", 45.0, float)
-    if max_order < 0:
-        raise ConfigError(f"[run] max_order must be >= 0, got {max_order}")
-    dense_threshold = get("run", "dense_threshold", DENSE_THRESHOLD_DEFAULT, int)
-
-    gamma_values = tuple(default_gamma_grid())
-    if parser.has_option("run", "gamma_values"):
-        gamma_values = _float_list("run", "gamma_values", parser.get("run", "gamma_values"))
-        if not gamma_values:
-            raise ConfigError("[run] gamma_values is empty")
-        for g in gamma_values:
-            if g > 0:
-                raise ConfigError(f"[run] gamma_values: gamma must be <= 0, got {g}")
-
-    l_values = (1, 3, 5, 6)
-    if parser.has_option("run", "l_values"):
-        l_values = _int_list("run", "l_values", parser.get("run", "l_values"))
-        if not l_values or any(l < 1 for l in l_values):
-            raise ConfigError("[run] l_values must be a list of cutoffs >= 1")
-
-    correlate_states: tuple[int, ...] | None = None
-    if parser.has_option("run", "correlate_states"):
-        raw = parser.get("run", "correlate_states").strip()
-        if raw and raw != "auto":
-            correlate_states = _int_list("run", "correlate_states", raw)
-
-    return RunConfig(
-        model=model,
-        laser=laser,
-        propagation=propagation,
-        nr_override=nr_override,
-        max_order=max_order,
-        dense_threshold=dense_threshold,
-        output_dir=get("run", "output_dir", "out", str),
-        gamma_values=gamma_values,
-        l_values=l_values,
-        correlate_states=correlate_states,
-    )
+    nested = {}
+    for section in ("model", "laser", "propagation"):
+        values = _read_section(parser, section)
+        try:
+            nested[section] = _SECTIONS[section](**values)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return RunConfig(**nested, **_read_section(parser, "run"))
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    """Fully resolved configuration as INI text.
+    """Fully resolved configuration as INI text, readable by :func:`parse_config`.
 
     The output directory is deliberately omitted: it names the
     destination, not the computation, and keeping it out makes files
     from identical runs byte-identical wherever they land.
     """
-    m, laser, prop = cfg.model, cfg.laser, cfg.propagation
-    lines = [
-        "[model]",
-        f"v = {m.v!r}",
-        f"w = {m.w!r}",
-        f"gamma = {m.gamma!r}",
-        f"omega_ph = {m.omega_ph!r}",
-        f"n_cells = {m.n_cells}",
-        f"phonon_cutoff = {m.phonon_cutoff}",
-        f"d = {m.d!r}",
-        "",
-        "[laser]",
-        f"a0 = {laser.a0!r}",
-        f"omega_l = {laser.omega_l!r}",
-        f"n_cyc = {laser.n_cyc}",
-        "",
-        "[propagation]",
-        f"n_steps = {prop.n_steps}",
-        f"record_stride = {prop.record_stride}",
-        "",
-        "[run]",
-        f"nr_override = {'' if cfg.nr_override is None else cfg.nr_override}",
-        f"max_order = {cfg.max_order!r}",
-        f"dense_threshold = {cfg.dense_threshold}",
-        f"gamma_values = {', '.join(repr(g) for g in cfg.gamma_values)}",
-        f"l_values = {', '.join(str(l) for l in cfg.l_values)}",
-        f"correlate_states = {'auto' if cfg.correlate_states is None else ', '.join(str(s) for s in cfg.correlate_states)}",
-        "",
-    ]
+    lines = []
+    for section in _SECTIONS:
+        values = cfg if section == "run" else getattr(cfg, section)
+        lines.append(f"[{section}]")
+        for f, _ in _section_fields(section):
+            if f.name != "output_dir":
+                lines.append(f"{f.name} = {_format_value(f, getattr(values, f.name))}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -272,23 +238,13 @@ def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
 
 
 def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
-    spec = ScanSpec(
-        model=cfg.model,
-        laser=cfg.laser,
-        propagation=cfg.propagation,
-        gamma_values=cfg.gamma_values,
-        l_values=cfg.l_values,
-        max_order=cfg.max_order,
-        nr_override=cfg.nr_override,
-        dense_threshold=cfg.dense_threshold,
-    )
-    results = gamma_scan(spec, workers=workers)
+    results = gamma_scan(cfg, workers=workers)
     header = _header(cfg_hash, "gamma-scan")
     with open(outdir / "heatmap.txt", "w") as fh:
-        export_heatmap(results, spec.gamma_values, fh, header, _EXPORT_MAX_ORDER)
+        export_heatmap(results, cfg.gamma_values, fh, header, _EXPORT_MAX_ORDER)
     manifest.append("heatmap.txt")
     with open(outdir / "relevance.txt", "w") as fh:
-        export_relevance(results, spec.gamma_values, fh, header, _EXPORT_MAX_ORDER)
+        export_relevance(results, cfg.gamma_values, fh, header, _EXPORT_MAX_ORDER)
     manifest.append("relevance.txt")
     failures = [r for r in results if isinstance(r, PointFailure)]
     if failures:
@@ -305,15 +261,7 @@ def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
 
 
 def _mode_converge(cfg, outdir, cfg_hash, manifest, workers):
-    report = convergence_study(
-        cfg.l_values,
-        cfg.model,
-        cfg.laser,
-        cfg.propagation,
-        cfg.max_order,
-        cfg.nr_override,
-        cfg.dense_threshold,
-    )
+    report = convergence_study(cfg)
     header = _header(cfg_hash, "converge")
     with open(outdir / "convergence.txt", "w") as fh:
         export_convergence(report, fh, header)

@@ -227,7 +227,7 @@ def propagate(
     n_steps, stride = cfg.n_steps, cfg.record_stride
     dt = tf / n_steps
 
-    eps = eig.energies - eig.energies[eig.gs_index]
+    eps = eig.energies - eig.energies[0]
     spread = np.abs(eps).max()
     if dt * spread > _STABILITY_LIMIT:
         raise ValueError(
@@ -236,7 +236,7 @@ def propagate(
 
     if a0 is None:
         a = np.zeros(nr, dtype=np.complex128)
-        a[eig.gs_index] = 1.0
+        a[0] = 1.0
     else:
         a = np.asarray(a0, dtype=np.complex128).copy()
         if a.shape != (nr,):
@@ -316,7 +316,7 @@ def propagate(
 
     a = amps[0]
     # undo the internal gauge shift: a_m(t) = a_shifted_m(t) * exp(-i e_gs t)
-    a_final = a * np.exp(-1j * eig.energies[eig.gs_index] * tf)
+    a_final = a * np.exp(-1j * eig.energies[0] * tf)
     return TimeSeries(
         times=times,
         amplitudes_norm=norms,

@@ -35,6 +35,8 @@ from .spectral import (
 from .spectrum import SpectrumResult, acceleration, yield_spectrum
 
 _INITIAL_COUNT = 64
+# harmonic orders over which a convergence study compares consecutive cutoffs
+_CONVERGENCE_WINDOW = (2.0, 40.0)
 
 
 def default_gamma_grid(n_points: int = 26) -> np.ndarray:
@@ -44,18 +46,25 @@ def default_gamma_grid(n_points: int = 26) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Grids and shared base configuration for the scan drivers."""
+    """Every setting of a pipeline run; the defaults are the reference set.
 
-    model: ModelParams
-    laser: LaserParams
-    propagation: PropagationConfig
-    gamma_values: tuple[float, ...] = field(default_factory=lambda: tuple(default_gamma_grid()))
-    l_values: tuple[int, ...] = (1, 3, 5, 6)
-    max_order: float = 45.0
+    ``gamma_values`` are the couplings of :func:`gamma_scan`, ``l_values``
+    the cutoffs of a convergence study, and ``dense_threshold`` the largest
+    dim at which LAPACK replaces an ARPACK result holding a degenerate
+    cluster (see ``eigensolve_lowest``).  The CLI's ``RunConfig`` extends
+    this class, and each of these fields is a key of the CLI's config.
+    """
+
+    model: ModelParams = field(default_factory=ModelParams)
+    laser: LaserParams = field(default_factory=LaserParams)
+    propagation: PropagationConfig = field(default_factory=PropagationConfig)
     nr_override: int | None = None
-    # largest dim at which LAPACK replaces an ARPACK result holding a
-    # degenerate cluster (see ``eigensolve_lowest``)
+    max_order: float = 45.0
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT
+    gamma_values: tuple[float, ...] = field(
+        default_factory=lambda: tuple(default_gamma_grid().tolist())
+    )
+    l_values: tuple[int, ...] = (1, 3, 5, 6)
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,11 @@ def solve_eigenbasis(
     max_order: float = 45.0,
     nr_override: int | None = None,
     dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-    initial_count: int = _INITIAL_COUNT,
 ) -> EigenBasis:
     """Grow the computed block until the order window is covered, then
     truncate to the selected state count and attach the transition matrix.
 
-    The block starts at ``initial_count`` pairs (or ``nr_override``) and
+    The block starts at ``_INITIAL_COUNT`` pairs (or ``nr_override``) and
     doubles until its top energy lies ``max_order`` laser quanta above the
     ground state, or it holds all ``dim`` states.  Each block comes from
     :func:`eigensolve_lowest`, so ARPACK computes it unless it spans
@@ -147,7 +155,7 @@ def solve_eigenbasis(
     x = build_position(model, basis)
     dim = basis.dim
 
-    count = min(dim, max(initial_count, nr_override or 1))
+    count = min(dim, max(_INITIAL_COUNT, nr_override or 1))
     while True:
         eig = eigensolve_lowest(h, count, dense_threshold)
         covered = (eig.energies[-1] - eig.energies[0]) / omega_l
@@ -188,20 +196,23 @@ def run_point(
     return PointResult(model=model, summary=summary, timeseries=ts, spectrum=spec)
 
 
+def _spec_point(spec: ScanSpec, model: ModelParams) -> PointResult:
+    """:func:`run_point` at ``model`` with the other settings of ``spec``."""
+    return run_point(
+        model,
+        spec.laser,
+        spec.propagation,
+        spec.max_order,
+        spec.nr_override,
+        spec.dense_threshold,
+    )
+
+
 def _gamma_point(args):
     spec, gamma = args
     label = f"gamma={gamma:.15g}"
     try:
-        model = replace(spec.model, gamma=gamma)
-        result = run_point(
-            model,
-            spec.laser,
-            spec.propagation,
-            spec.max_order,
-            spec.nr_override,
-            spec.dense_threshold,
-        )
-        return result
+        return _spec_point(spec, replace(spec.model, gamma=gamma))
     except Exception as exc:  # recorded, scan continues
         return PointFailure(label=label, message=f"{type(exc).__name__}: {exc}")
 
@@ -231,13 +242,12 @@ class ConvergenceReport:
     l_values: tuple[int, ...]
     points: tuple[PointResult | PointFailure, ...] = field(repr=False)
     eps_gs: tuple[float, ...] = ()
-    # max |Y_N(L_i) - Y_N(L_{i+1})| over the comparison window, per consecutive pair
+    # max |Y_N(L_i) - Y_N(L_{i+1})| over _CONVERGENCE_WINDOW, per consecutive pair
     spectral_diffs: tuple[float, ...] = ()
-    window: tuple[float, float] = (2.0, 40.0)
 
 
 def spectral_distance(
-    a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = (2.0, 40.0)
+    a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = _CONVERGENCE_WINDOW
 ) -> float:
     """Max-abs difference of the normalized yields over an order window."""
     if a.orders.shape != b.orders.shape or np.abs(a.orders - b.orders).max() > 1e-9:
@@ -246,34 +256,17 @@ def spectral_distance(
     return float(np.abs(a.yield_norm[sel] - b.yield_norm[sel]).max())
 
 
-def convergence_study(
-    l_values,
-    model: ModelParams,
-    laser: LaserParams,
-    cfg: PropagationConfig,
-    max_order: float = 45.0,
-    nr_override: int | None = None,
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-    window: tuple[float, float] = (2.0, 40.0),
-) -> ConvergenceReport:
-    """Run the pipeline per phonon cutoff and report ground energies plus
-    max-abs normalized-yield differences between consecutive cutoffs."""
-    l_values = tuple(int(l) for l in l_values)
+def convergence_study(spec: ScanSpec) -> ConvergenceReport:
+    """Run the pipeline per phonon cutoff in ``spec.l_values`` and report
+    ground energies plus max-abs normalized-yield differences between
+    consecutive cutoffs."""
+    l_values = tuple(int(l) for l in spec.l_values)
     if list(l_values) != sorted(l_values):
         raise ValueError(f"l_values must be ascending, got {l_values}")
     points: list[PointResult | PointFailure] = []
     for l in l_values:
         try:
-            points.append(
-                run_point(
-                    replace(model, phonon_cutoff=l),
-                    laser,
-                    cfg,
-                    max_order,
-                    nr_override,
-                    dense_threshold,
-                )
-            )
+            points.append(_spec_point(spec, replace(spec.model, phonon_cutoff=l)))
         except Exception as exc:
             points.append(PointFailure(label=f"L={l}", message=f"{type(exc).__name__}: {exc}"))
     eps = tuple(
@@ -282,7 +275,7 @@ def convergence_study(
     diffs = []
     for a, b in zip(points, points[1:]):
         if isinstance(a, PointResult) and isinstance(b, PointResult):
-            diffs.append(spectral_distance(a.spectrum, b.spectrum, window))
+            diffs.append(spectral_distance(a.spectrum, b.spectrum))
         else:
             diffs.append(float("nan"))
     return ConvergenceReport(
@@ -290,7 +283,6 @@ def convergence_study(
         points=tuple(points),
         eps_gs=eps,
         spectral_diffs=tuple(diffs),
-        window=window,
     )
 
 
@@ -342,7 +334,7 @@ def export_convergence(report: ConvergenceReport, fh, header_lines=()) -> None:
     """Tabulate ground energies and consecutive spectral distances per cutoff."""
     for line in header_lines:
         fh.write(f"# {line}\n")
-    lo, hi = report.window
+    lo, hi = _CONVERGENCE_WINDOW
     fh.write(f"# comparison window: orders [{lo:g}, {hi:g}]\n")
     fh.write("# L\teps_gs\tnr\tmax_abs_diff_to_next\n")
     for i, l in enumerate(report.l_values):

@@ -49,14 +49,13 @@ class EigenBasis:
     energies        ascending eigenvalues, shape (nr,)
     vectors         orthonormal columns in the site basis, shape (dim, nr)
     transition      dipole matrix T_mn = <m|x|n>, shape (nr, nr), or None
-    gs_transition   row of ``transition`` at the ground-state index, or None
+    gs_transition   row 0 of ``transition`` (the ground state), or None
     """
 
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     transition: np.ndarray | None = field(default=None, repr=False)
     gs_transition: np.ndarray | None = field(default=None, repr=False)
-    gs_index: int = 0
 
     @property
     def nr(self) -> int:
@@ -181,7 +180,7 @@ def transition_matrix(eig: EigenBasis, x_op: SparseOperator) -> np.ndarray:
 def with_transition(eig: EigenBasis, x_op: SparseOperator) -> EigenBasis:
     """Return a copy of ``eig`` completed with T and its ground-state row."""
     t = transition_matrix(eig, x_op)
-    return replace(eig, transition=t, gs_transition=t[eig.gs_index].copy())
+    return replace(eig, transition=t, gs_transition=t[0].copy())
 
 
 def harmonic_order(energy: float, energy_gs: float, omega_l: float):
@@ -219,7 +218,7 @@ def state_relevance(eig: EigenBasis, omega_l: float) -> np.ndarray:
     """
     if eig.gs_transition is None:
         raise ValueError("transition matrix not attached")
-    orders = harmonic_order(eig.energies, eig.energies[eig.gs_index], omega_l)
+    orders = harmonic_order(eig.energies, eig.energies[0], omega_l)
     tgs2 = eig.gs_transition**2
     with np.errstate(divide="ignore"):
         logs = np.log10(tgs2)

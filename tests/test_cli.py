@@ -1,12 +1,17 @@
 """Config parsing, mode drivers, artifact layout and reproducibility."""
 
+import configparser
 import shutil
 import subprocess
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from polaron_hhg.cli import ConfigError, RunConfig, main, parse_config
+from polaron_hhg.cli import ConfigError, RunConfig, main, parse_config, resolved_config_text
+from polaron_hhg.dynamics import PropagationConfig
+from polaron_hhg.hilbert import ModelParams
+from polaron_hhg.pulse import LaserParams
 
 # small, fast configuration: 4 retained states, modest step count
 TINY = """
@@ -65,11 +70,70 @@ def test_missing_file_rejected():
         ("[run]\nnr_override = 0\n", "nr_override"),
         ("[run]\ngamma_values = 0.1, -0.2\n", "gamma_values"),
         ("[run]\nl_values = 0\n", "l_values"),
+        ("[run]\nl_values = 2, 1\n", "l_values"),
     ],
 )
 def test_invalid_configs_name_the_offender(tmp_path, snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(_write(tmp_path, snippet))
+
+
+EVERY_RUN_KEY = """
+[model]
+gamma = -0.01
+
+[run]
+nr_override = 12
+max_order = 30
+dense_threshold = 100
+output_dir = elsewhere
+gamma_values = -0.03, -0.01
+l_values = 1, 3
+correlate_states = 0, 2
+"""
+
+
+@pytest.mark.parametrize("text", ["", EVERY_RUN_KEY])
+def test_resolved_ini_reads_back_as_the_same_config(tmp_path, text):
+    cfg = parse_config(_write(tmp_path, text))
+    resolved = resolved_config_text(cfg)
+    back = parse_config(_write(tmp_path, resolved, "resolved.ini"))
+    assert replace(back, output_dir=cfg.output_dir) == cfg
+    # the config hash in every artifact header is taken over this text
+    assert resolved_config_text(back) == resolved
+
+
+def test_default_gamma_grid_is_echoed_as_plain_floats():
+    assert all(type(g) is float for g in RunConfig().gamma_values)
+    assert "np." not in resolved_config_text(RunConfig())
+
+
+def test_reader_and_echo_know_the_same_keys(tmp_path):
+    classes = {
+        "model": ModelParams,
+        "laser": LaserParams,
+        "propagation": PropagationConfig,
+        "run": RunConfig,
+    }
+    echo = configparser.ConfigParser()
+    echo.read_string(resolved_config_text(RunConfig()))
+    written = {s: set(echo[s]) for s in echo.sections()}
+    assert set(written) == set(classes)
+    candidates = {f.name for cls in classes.values() for f in fields(cls)} | {"mystery"}
+    for section, cls in classes.items():
+        # every field of the section's class is a key, bar the nested
+        # sections and the output directory, which is not echoed
+        assert written[section] == {f.name for f in fields(cls)} - set(classes) - {"output_dir"}
+        accepted = set()
+        for key in candidates:
+            try:
+                parse_config(_write(tmp_path, f"[{section}]\n{key} = 1\n"))
+            except ConfigError as exc:
+                if "unknown key" in str(exc):
+                    continue
+            accepted.add(key)
+        expected = written[section] | ({"output_dir"} if section == "run" else set())
+        assert accepted == expected, section
 
 
 def test_malformed_ini_rejected(tmp_path):

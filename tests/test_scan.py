@@ -165,7 +165,8 @@ def test_gamma_scan_worker_count_invariance():
 
 def test_convergence_study_small():
     model = ModelParams(n_cells=1, phonon_cutoff=1)
-    report = convergence_study((1, 2), model, LASER, CFG15)
+    spec = ScanSpec(model=model, laser=LASER, propagation=CFG15, l_values=(1, 2))
+    report = convergence_study(spec)
     assert report.l_values == (1, 2)
     assert report.eps_gs[1] <= report.eps_gs[0] + 1e-12
     assert len(report.spectral_diffs) == 1
@@ -174,7 +175,7 @@ def test_convergence_study_small():
 
 def test_convergence_study_requires_ascending():
     with pytest.raises(ValueError):
-        convergence_study((3, 1), SMALL, LASER, CFG15)
+        convergence_study(ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, l_values=(3, 1)))
 
 
 def test_spectral_distance_grid_mismatch():
