@@ -11,6 +11,14 @@ comment header that records the tool version and a hash of the fully
 resolved configuration; the resolved configuration itself is echoed to
 ``resolved.ini``, which can be passed back as ``--config`` to repeat the
 run, and a ``manifest.txt`` lists the completed artifacts.
+
+Every other artifact is a text table written by :func:`_write_table`:
+comment lines starting with ``# `` (the header, then any notes and the
+tab-separated column names), then rows of tab-separated numbers, each
+written as ``f"{x:.15g}"`` would write it, so integer columns read as
+integers.  Rows are formatted 512 at a time, one ``%``-format per chunk.
+Only ``failures.txt`` has text rows: a failed point's label and message.
+The library modules return arrays; this module alone knows the format.
 """
 
 from __future__ import annotations
@@ -18,33 +26,41 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .dynamics import PropagationConfig, export_timeseries
+from .dynamics import PropagationConfig
 from .hilbert import BasisIndex, ModelParams
-from .pulse import LaserParams
+from .pulse import LaserParams, electric_field
 from .scan import (
+    CONVERGENCE_WINDOW,
     PointFailure,
+    PointResult,
     ScanSpec,
     convergence_study,
     correlation_map,
-    export_convergence,
-    export_heatmap,
-    export_relevance,
     gamma_scan,
     run_point,
     solve_eigenbasis,
 )
-from .spectral import export_levels, state_relevance
-from .spectrum import export_spectrum
+from .spectral import state_relevance
 
 MODES = ("levels", "run", "gamma-scan", "converge", "correlate")
 
+# highest harmonic order written to the spectrum, heatmap and relevance tables
 _EXPORT_MAX_ORDER = 50.0
+# rows per formatted chunk: only a chunk's rows are ever stacked into one
+# table, so a long time series adds well under a megabyte while written
+_WRITE_ROWS = 512
+# configparser's name for its defaults section; a header is one line, so
+# no file can name it, and a [DEFAULT] section is an unknown section
+_NO_DEFAULT_SECTION = "\n"
 
 
 class ConfigError(ValueError):
@@ -79,9 +95,13 @@ def _section_fields(section: str) -> list:
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    # no setting takes nan or inf: max_order = inf, say, would diagonalise the whole space
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_value(section: str, f, kind, raw: str):
@@ -116,6 +136,8 @@ def _check_run_value(key: str, value) -> None:
         raise ConfigError(f"[run] nr_override must be >= 1, got {value}")
     if key == "max_order" and value < 0:
         raise ConfigError(f"[run] max_order must be >= 0, got {value}")
+    if key == "correlate_states" and value == ():
+        raise ConfigError("[run] correlate_states is empty; write auto for the default states")
     if key == "gamma_values":
         if not value:
             raise ConfigError("[run] gamma_values is empty")
@@ -142,7 +164,7 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
 
 def parse_config(path: str | None) -> RunConfig:
     """Read and validate a config file; ``None`` gives the full default set."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section=_NO_DEFAULT_SECTION)
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -192,6 +214,40 @@ def _header(cfg_hash: str, mode: str) -> list[str]:
     return [f"polaron-hhg {__version__}", f"config {cfg_hash}", f"mode {mode}"]
 
 
+def _write_table(fh, comment_lines, columns) -> None:
+    """Write ``comment_lines`` as ``# `` lines, then the equal-length 1-D
+    ``columns`` as rows in the module's table format (none if empty)."""
+    for line in comment_lines:
+        fh.write(f"# {line}\n")
+    if not columns:
+        return
+    row = "\t".join(["%.15g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        chunk = np.column_stack([c[lo : lo + _WRITE_ROWS] for c in columns])
+        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def _write_levels(path, header, energies, relevance) -> None:
+    """Level table: index, energy and the :func:`state_relevance` columns."""
+    with open(path, "w") as fh:
+        _write_table(
+            fh,
+            header + ["index\tenergy\tharmonic_order\tlog10_Tgs2"],
+            [np.arange(len(energies)), energies, relevance[:, 0], relevance[:, 1]],
+        )
+
+
+def _spectrum_columns(spectrum) -> list:
+    """Harmonic orders up to the export cap, and Y_N there."""
+    sel = spectrum.orders <= _EXPORT_MAX_ORDER
+    return [spectrum.orders[sel], spectrum.yield_norm[sel]]
+
+
+def _write_spectrum(path, header, spectrum) -> None:
+    with open(path, "w") as fh:
+        _write_table(fh, header + ["harmonic_order\tyield_norm"], _spectrum_columns(spectrum))
+
+
 def _auto_correlate_states(eig, omega_l: float) -> list[int]:
     """Ground state plus the three excited states coupling hardest to it."""
     rel = state_relevance(eig, omega_l)
@@ -204,13 +260,8 @@ def _mode_levels(cfg, outdir, cfg_hash, manifest, workers):
     eig = solve_eigenbasis(
         cfg.model, cfg.laser.omega_l, cfg.max_order, cfg.nr_override, cfg.dense_threshold
     )
-    with open(outdir / "levels.txt", "w") as fh:
-        export_levels(
-            eig.energies,
-            state_relevance(eig, cfg.laser.omega_l),
-            fh,
-            _header(cfg_hash, "levels"),
-        )
+    relevance = state_relevance(eig, cfg.laser.omega_l)
+    _write_levels(outdir / "levels.txt", _header(cfg_hash, "levels"), eig.energies, relevance)
     manifest.append("levels.txt")
     return 0
 
@@ -225,14 +276,27 @@ def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
         cfg.dense_threshold,
     )
     header = _header(cfg_hash, "run")
-    with open(outdir / "levels.txt", "w") as fh:
-        export_levels(result.summary.energies, result.summary.relevance, fh, header)
+    summary, ts = result.summary, result.timeseries
+    _write_levels(outdir / "levels.txt", header, summary.energies, summary.relevance)
     manifest.append("levels.txt")
+    ns = ts.electron_density.shape[1]
+    names = ["t", "E", "dipole", "norm"]
+    names += [f"n_e_{r}" for r in range(ns)] + [f"n_ph_{r}" for r in range(ns)]
     with open(outdir / "timeseries.txt", "w") as fh:
-        export_timeseries(result.timeseries, cfg.laser, fh, header)
+        _write_table(
+            fh,
+            header + ["\t".join(names)],
+            [
+                ts.times,
+                electric_field(ts.times, cfg.laser),
+                ts.dipole,
+                ts.amplitudes_norm,
+                *ts.electron_density.T,
+                *ts.phonon_density.T,
+            ],
+        )
     manifest.append("timeseries.txt")
-    with open(outdir / "spectrum.txt", "w") as fh:
-        export_spectrum(result.spectrum, fh, header, max_order=_EXPORT_MAX_ORDER)
+    _write_spectrum(outdir / "spectrum.txt", header, result.spectrum)
     manifest.append("spectrum.txt")
     return 0
 
@@ -240,17 +304,25 @@ def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
 def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
     results = gamma_scan(cfg, workers=workers)
     header = _header(cfg_hash, "gamma-scan")
+    # long format: one block of rows per point, failed points skipped
+    points = [(g, r) for g, r in zip(cfg.gamma_values, results) if isinstance(r, PointResult)]
     with open(outdir / "heatmap.txt", "w") as fh:
-        export_heatmap(results, cfg.gamma_values, fh, header, _EXPORT_MAX_ORDER)
+        _write_table(fh, header + ["gamma\tharmonic_order\tyield_norm"], [])
+        for g, res in points:
+            orders, y = _spectrum_columns(res.spectrum)
+            _write_table(fh, [], [np.full(len(orders), g), orders, y])
     manifest.append("heatmap.txt")
     with open(outdir / "relevance.txt", "w") as fh:
-        export_relevance(results, cfg.gamma_values, fh, header, _EXPORT_MAX_ORDER)
+        _write_table(fh, header + ["gamma\tharmonic_order\tlog10_Tgs2"], [])
+        for g, res in points:
+            rel = res.summary.relevance
+            rel = rel[rel[:, 0] <= _EXPORT_MAX_ORDER]
+            _write_table(fh, [], [np.full(len(rel), g), rel[:, 0], rel[:, 1]])
     manifest.append("relevance.txt")
     failures = [r for r in results if isinstance(r, PointFailure)]
     if failures:
         with open(outdir / "failures.txt", "w") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
+            _write_table(fh, header, [])
             for f in failures:
                 fh.write(f"{f.label}\t{f.message}\n")
         manifest.append("failures.txt")
@@ -263,20 +335,31 @@ def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
 def _mode_converge(cfg, outdir, cfg_hash, manifest, workers):
     report = convergence_study(cfg)
     header = _header(cfg_hash, "converge")
+    failed = [isinstance(p, PointFailure) for p in report.points]
+    lo, hi = CONVERGENCE_WINDOW
     with open(outdir / "convergence.txt", "w") as fh:
-        export_convergence(report, fh, header)
+        _write_table(
+            fh,
+            header + [f"comparison window: orders [{lo:g}, {hi:g}]"]
+            + ["L\teps_gs\tnr\tmax_abs_diff_to_next"],
+            [
+                report.l_values,
+                report.eps_gs,
+                [-1 if bad else p.summary.nr for p, bad in zip(report.points, failed)],
+                report.spectral_diffs + (float("nan"),),
+            ],
+        )
+        notes = [f"FAILED {p.label}: {p.message}" for p, bad in zip(report.points, failed) if bad]
+        _write_table(fh, notes, [])
     manifest.append("convergence.txt")
-    failed = False
-    for l, point in zip(report.l_values, report.points):
-        if isinstance(point, PointFailure):
+    for l, point, bad in zip(report.l_values, report.points, failed):
+        if bad:
             print(f"converge point failed: {point.label}: {point.message}", file=sys.stderr)
-            failed = True
             continue
         name = f"spectrum_L{l}.txt"
-        with open(outdir / name, "w") as fh:
-            export_spectrum(point.spectrum, fh, header + [f"L {l}"], _EXPORT_MAX_ORDER)
+        _write_spectrum(outdir / name, header + [f"L {l}"], point.spectrum)
         manifest.append(name)
-    return 1 if failed else 0
+    return 1 if any(failed) else 0
 
 
 def _mode_correlate(cfg, outdir, cfg_hash, manifest, workers):
@@ -294,12 +377,15 @@ def _mode_correlate(cfg, outdir, cfg_hash, manifest, workers):
         grid = correlation_map(eig, basis, m)
         name = f"correlation_state{m}.txt"
         with open(outdir / name, "w") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            fh.write(f"# state {m}, energy {eig.energies[m]:.15g}\n")
-            fh.write("# rows: phonon site f; columns: electron site r\n")
-            for f in range(grid.shape[0]):
-                fh.write("\t".join(f"{x:.15g}" for x in grid[f]) + "\n")
+            _write_table(
+                fh,
+                header
+                + [
+                    f"state {m}, energy {eig.energies[m]:.15g}",
+                    "rows: phonon site f; columns: electron site r",
+                ],
+                list(grid.T),
+            )
         manifest.append(name)
     return 0
 

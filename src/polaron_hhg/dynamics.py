@@ -41,9 +41,6 @@ _HERMITICITY_TOL = 1e-10
 # Steps per block of propagate; a constant, so that every block makes the
 # same BLAS calls whatever n_steps and record_stride are (see propagate).
 _BLOCK = 64
-# Rows formatted per write in export_timeseries; small enough that a
-# chunk's floats and text stay well under a megabyte.
-_EXPORT_ROWS = 512
 
 
 class PropagationDivergedError(RuntimeError):
@@ -328,37 +325,3 @@ def propagate(
         a_final=a_final,
         norm_final=float(np.vdot(a, a).real),
     )
-
-
-def export_timeseries(
-    ts: TimeSeries, laser: LaserParams, fh, header_lines=()
-) -> None:
-    """Columnar dump: t, E(t), dipole, norm, electron densities, phonon densities.
-
-    Every value is written as ``f"{x:.15g}"`` would write it; rows are
-    formatted ``_EXPORT_ROWS`` at a time, with one %-format per chunk.
-    """
-    ns = ts.electron_density.shape[1]
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    cols = (
-        ["t", "E", "dipole", "norm"]
-        + [f"n_e_{r}" for r in range(ns)]
-        + [f"n_ph_{r}" for r in range(ns)]
-    )
-    fh.write("# " + "\t".join(cols) + "\n")
-    row = "\t".join(["%.15g"] * len(cols)) + "\n"
-    e_vals = electric_field(ts.times, laser)
-    for lo in range(0, ts.times.shape[0], _EXPORT_ROWS):
-        part = slice(lo, lo + _EXPORT_ROWS)
-        table = np.column_stack(
-            [
-                ts.times[part],
-                e_vals[part],
-                ts.dipole[part],
-                ts.amplitudes_norm[part],
-                ts.electron_density[part],
-                ts.phonon_density[part],
-            ]
-        )
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))

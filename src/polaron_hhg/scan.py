@@ -36,7 +36,7 @@ from .spectrum import SpectrumResult, acceleration, yield_spectrum
 
 _INITIAL_COUNT = 64
 # harmonic orders over which a convergence study compares consecutive cutoffs
-_CONVERGENCE_WINDOW = (2.0, 40.0)
+CONVERGENCE_WINDOW = (2.0, 40.0)
 
 
 def default_gamma_grid(n_points: int = 26) -> np.ndarray:
@@ -242,12 +242,12 @@ class ConvergenceReport:
     l_values: tuple[int, ...]
     points: tuple[PointResult | PointFailure, ...] = field(repr=False)
     eps_gs: tuple[float, ...] = ()
-    # max |Y_N(L_i) - Y_N(L_{i+1})| over _CONVERGENCE_WINDOW, per consecutive pair
+    # max |Y_N(L_i) - Y_N(L_{i+1})| over CONVERGENCE_WINDOW, per consecutive pair
     spectral_diffs: tuple[float, ...] = ()
 
 
 def spectral_distance(
-    a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = _CONVERGENCE_WINDOW
+    a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = CONVERGENCE_WINDOW
 ) -> float:
     """Max-abs difference of the normalized yields over an order window."""
     if a.orders.shape != b.orders.shape or np.abs(a.orders - b.orders).max() > 1e-9:
@@ -302,46 +302,3 @@ def correlation_map(eig: EigenBasis, basis: BasisIndex, m: int) -> np.ndarray:
     for f in range(ns):
         out[f] = np.bincount(sites, weights=prob * basis.occupations[f], minlength=ns)
     return out
-
-
-def export_heatmap(results, gamma_values, fh, header_lines=(), max_order: float = 50.0) -> None:
-    """Long-format (gamma, harmonic_order, Y_N) rows; failed points skipped."""
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("# gamma\tharmonic_order\tyield_norm\n")
-    for g, res in zip(gamma_values, results):
-        if isinstance(res, PointFailure):
-            continue
-        sel = res.spectrum.orders <= max_order
-        for o, y in zip(res.spectrum.orders[sel], res.spectrum.yield_norm[sel]):
-            fh.write(f"{g:.15g}\t{o:.15g}\t{y:.15g}\n")
-
-
-def export_relevance(results, gamma_values, fh, header_lines=(), max_order: float = 50.0) -> None:
-    """Long-format (gamma, harmonic_order, log10_Tgs2) eigenstate overlay."""
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("# gamma\tharmonic_order\tlog10_Tgs2\n")
-    for g, res in zip(gamma_values, results):
-        if isinstance(res, PointFailure):
-            continue
-        for order, log_t in res.summary.relevance:
-            if order <= max_order:
-                fh.write(f"{g:.15g}\t{order:.15g}\t{log_t:.15g}\n")
-
-
-def export_convergence(report: ConvergenceReport, fh, header_lines=()) -> None:
-    """Tabulate ground energies and consecutive spectral distances per cutoff."""
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    lo, hi = _CONVERGENCE_WINDOW
-    fh.write(f"# comparison window: orders [{lo:g}, {hi:g}]\n")
-    fh.write("# L\teps_gs\tnr\tmax_abs_diff_to_next\n")
-    for i, l in enumerate(report.l_values):
-        point = report.points[i]
-        nr = point.summary.nr if isinstance(point, PointResult) else -1
-        diff = report.spectral_diffs[i] if i < len(report.spectral_diffs) else float("nan")
-        fh.write(f"{l}\t{report.eps_gs[i]:.15g}\t{nr}\t{diff:.15g}\n")
-    for point in report.points:
-        if isinstance(point, PointFailure):
-            fh.write(f"# FAILED {point.label}: {point.message}\n")

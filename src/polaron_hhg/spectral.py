@@ -49,13 +49,11 @@ class EigenBasis:
     energies        ascending eigenvalues, shape (nr,)
     vectors         orthonormal columns in the site basis, shape (dim, nr)
     transition      dipole matrix T_mn = <m|x|n>, shape (nr, nr), or None
-    gs_transition   row 0 of ``transition`` (the ground state), or None
     """
 
     energies: np.ndarray = field(repr=False)
     vectors: np.ndarray = field(repr=False)
     transition: np.ndarray | None = field(default=None, repr=False)
-    gs_transition: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def nr(self) -> int:
@@ -65,14 +63,18 @@ class EigenBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def gs_transition(self) -> np.ndarray | None:
+        """Row 0 of ``transition`` (the ground state), or None."""
+        return self.transition[0] if self.transition is not None else None
+
     def truncated(self, nr: int) -> "EigenBasis":
         """Keep the lowest ``nr`` states (transition matrix sliced if present)."""
         if not 1 <= nr <= self.nr:
             raise ValueError(f"nr {nr} outside [1, {self.nr}]")
         t = self.transition[:nr, :nr] if self.transition is not None else None
-        g = self.gs_transition[:nr] if self.gs_transition is not None else None
         return replace(self, energies=self.energies[:nr],
-                       vectors=self.vectors[:, :nr], transition=t, gs_transition=g)
+                       vectors=self.vectors[:, :nr], transition=t)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -178,9 +180,8 @@ def transition_matrix(eig: EigenBasis, x_op: SparseOperator) -> np.ndarray:
 
 
 def with_transition(eig: EigenBasis, x_op: SparseOperator) -> EigenBasis:
-    """Return a copy of ``eig`` completed with T and its ground-state row."""
-    t = transition_matrix(eig, x_op)
-    return replace(eig, transition=t, gs_transition=t[0].copy())
+    """Return a copy of ``eig`` completed with T."""
+    return replace(eig, transition=transition_matrix(eig, x_op))
 
 
 def harmonic_order(energy: float, energy_gs: float, omega_l: float):
@@ -241,17 +242,3 @@ def degenerate_clusters(energies: np.ndarray, tol: float = _DEGENERACY_TOL):
             current = [i]
     clusters.append(current)
     return clusters
-
-
-def export_levels(energies: np.ndarray, relevance: np.ndarray, fh, header_lines=()) -> None:
-    """Write the (index, energy, harmonic_order, log10_Tgs2) level table.
-
-    ``relevance`` holds the per-state rows of :func:`state_relevance`.
-    """
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("# index\tenergy\tharmonic_order\tlog10_Tgs2\n")
-    for m in range(len(energies)):
-        fh.write(
-            f"{m}\t{energies[m]:.15g}\t{relevance[m, 0]:.15g}\t{relevance[m, 1]:.15g}\n"
-        )

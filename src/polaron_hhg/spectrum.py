@@ -83,17 +83,3 @@ def yield_spectrum(accel: np.ndarray, dt: float, omega_l: float) -> SpectrumResu
         yield_norm=y - y[fund],
         fundamental_index=fund,
     )
-
-
-def export_spectrum(
-    result: SpectrumResult, fh, header_lines=(), max_order: float | None = None
-) -> None:
-    """Two-column dump (harmonic_order, Y_N), optionally capped in order."""
-    for line in header_lines:
-        fh.write(f"# {line}\n")
-    fh.write("# harmonic_order\tyield_norm\n")
-    sel = np.ones(result.orders.shape[0], dtype=bool)
-    if max_order is not None:
-        sel = result.orders <= max_order
-    for o, y in zip(result.orders[sel], result.yield_norm[sel]):
-        fh.write(f"{o:.15g}\t{y:.15g}\n")

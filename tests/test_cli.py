@@ -1,6 +1,7 @@
 """Config parsing, mode drivers, artifact layout and reproducibility."""
 
 import configparser
+import io
 import shutil
 import subprocess
 from dataclasses import fields, replace
@@ -8,10 +9,21 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from polaron_hhg.cli import ConfigError, RunConfig, main, parse_config, resolved_config_text
+from polaron_hhg.cli import (
+    _WRITE_ROWS,
+    ConfigError,
+    RunConfig,
+    _write_spectrum,
+    _write_table,
+    main,
+    parse_config,
+    resolved_config_text,
+)
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import ModelParams
 from polaron_hhg.pulse import LaserParams
+from polaron_hhg.scan import solve_eigenbasis
+from polaron_hhg.spectrum import SpectrumResult
 
 # small, fast configuration: 4 retained states, modest step count
 TINY = """
@@ -71,6 +83,14 @@ def test_missing_file_rejected():
         ("[run]\ngamma_values = 0.1, -0.2\n", "gamma_values"),
         ("[run]\nl_values = 0\n", "l_values"),
         ("[run]\nl_values = 2, 1\n", "l_values"),
+        ("[run]\nmax_order = nan\n", "max_order"),
+        ("[run]\nmax_order = inf\n", "max_order"),
+        ("[laser]\nomega_l = nan\n", "omega_l"),
+        ("[run]\ngamma_values = -0.01, nan\n", "gamma_values"),
+        ("[run]\ncorrelate_states = ,\n", "correlate_states"),
+        # a [DEFAULT] section would spread its keys into every section
+        ("[DEFAULT]\nv = -0.05\n\n[model]\nw = -0.1\n", "DEFAULT"),
+        ("[DEFAULT]\nv = -0.05\n\n[run]\nmax_order = 20\n", "DEFAULT"),
     ],
 )
 def test_invalid_configs_name_the_offender(tmp_path, snippet, needle):
@@ -139,6 +159,62 @@ def test_reader_and_echo_know_the_same_keys(tmp_path):
 def test_malformed_ini_rejected(tmp_path):
     with pytest.raises(ConfigError, match="malformed"):
         parse_config(_write(tmp_path, "not an ini file at all\n"))
+
+
+def test_write_table_matches_per_element_format():
+    # three chunks, the last one partial; values that stress the format
+    rng = np.random.default_rng(3)
+    n = 2 * _WRITE_ROWS + 5
+    columns = [
+        np.arange(n),
+        np.arange(n) * 0.75,
+        1.0 + rng.normal(size=n) * 1e-13,
+        rng.uniform(0.0, 1.0, n),
+        -rng.uniform(0.0, 1e3, n),
+    ]
+    columns[2][0], columns[3][0] = -0.0, 1e-300
+    buf = io.StringIO()
+    _write_table(buf, ["a header", "i\tt\tnorm\tn\tm"], columns)
+
+    expected = ["# a header\n", "# i\tt\tnorm\tn\tm\n"]
+    for s in range(n):
+        expected.append("\t".join(f"{c[s]:.15g}" for c in columns) + "\n")
+    got = buf.getvalue().splitlines(keepends=True)
+    assert len(got) == len(expected)
+    bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {expected[bad[0]]!r}"
+    assert "\t-0\t1e-300\t" in got[2]
+
+
+def test_levels_table_format(tmp_path):
+    cfg = _write(tmp_path, "[model]\nn_cells = 1\nphonon_cutoff = 1\n\n[run]\nnr_override = 2\n")
+    out = tmp_path / "out"
+    assert main(["levels", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "levels.txt").read_text().splitlines()
+    assert lines[0] == "# polaron-hhg 0.1.0"
+    assert lines[3] == "# index\tenergy\tharmonic_order\tlog10_Tgs2"
+    data = [l.split("\t") for l in lines if not l.startswith("#")]
+    assert [row[0] for row in data] == ["0", "1"]  # integer index column
+    model = ModelParams(n_cells=1, phonon_cutoff=1)
+    eig = solve_eigenbasis(model, LaserParams().omega_l, nr_override=2)
+    for row, energy in zip(data, eig.energies):
+        assert float(row[1]) == pytest.approx(energy, rel=1e-14)
+
+
+def test_spectrum_table_capped_at_order_50(tmp_path):
+    orders = np.array([0.0, 1.0, 50.0, 50.5, 51.0])
+    res = SpectrumResult(
+        orders=orders,
+        yield_raw=-orders,
+        yield_norm=-orders,
+        fundamental_index=1,
+    )
+    _write_spectrum(tmp_path / "spectrum.txt", ["demo"], res)
+    lines = (tmp_path / "spectrum.txt").read_text().splitlines()
+    assert lines[:2] == ["# demo", "# harmonic_order\tyield_norm"]
+    data = [l.split("\t") for l in lines if not l.startswith("#")]
+    assert [row[0] for row in data] == ["0", "1", "50"]  # orders above 50 capped away
+    assert data[1][1] == "-1"
 
 
 def test_levels_mode_lists_all_six_phononless_states(tmp_path):
@@ -271,6 +347,26 @@ def test_scan_failures_reported_with_partial_outputs(tmp_path):
     assert (out / "failures.txt").is_file()
     manifest = (out / "manifest.txt").read_text().split()
     assert "failures.txt" in manifest and "heatmap.txt" in manifest
+
+
+def test_converge_failures_reported_per_cutoff(tmp_path, capsys):
+    # a step count far too small trips the stability guard at every cutoff
+    cfg = _write(
+        tmp_path,
+        TINY.replace("n_steps = 16384", "n_steps = 512") + "l_values = 1, 2\n",
+    )
+    out = tmp_path / "conv_fail"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+    lines = (out / "convergence.txt").read_text().splitlines()
+    assert [l.split("\t") for l in lines if not l.startswith("#")] == [
+        ["1", "nan", "-1", "nan"],
+        ["2", "nan", "-1", "nan"],
+    ]
+    failed = [l for l in lines if l.startswith("# FAILED")]
+    assert [l.split(":")[0] for l in failed] == ["# FAILED L=1", "# FAILED L=2"]
+    assert all("stability guard" in l for l in failed)
+    assert (out / "manifest.txt").read_text().split() == ["resolved.ini", "convergence.txt"]
+    assert capsys.readouterr().err.count("converge point failed") == 2
 
 
 def test_run_failure_still_writes_manifest(tmp_path, capsys):

@@ -1,18 +1,14 @@
 """Propagator: RK4 correctness, norm behavior, observables, error paths."""
 
-import io
-
 import numpy as np
 import pytest
 
 from polaron_hhg.dynamics import (
-    _EXPORT_ROWS,
     HermiticityError,
     PropagationConfig,
     PropagationDivergedError,
     TimeSeries,
     density_expectation,
-    export_timeseries,
     propagate,
     rotate_operator,
 )
@@ -41,7 +37,6 @@ def _manual_eig(energies, transition, dim=None):
         energies=energies,
         vectors=np.eye(dim or nr, nr),
         transition=np.asarray(transition, dtype=float),
-        gs_transition=np.asarray(transition, dtype=float)[0].copy(),
     )
 
 
@@ -254,39 +249,6 @@ def test_timeseries_grids():
         assert np.array_equal(ts.dipole, ts.dipole_full[::stride])
         # the sampled densities sit on the rows of the sampled norms
         assert np.abs(ts.electron_density.sum(axis=1) - ts.amplitudes_norm).max() <= 1e-12
-
-
-def test_export_timeseries_matches_per_element_format():
-    # three chunks, the last one partial; values that stress the format
-    rng = np.random.default_rng(3)
-    n = 2 * _EXPORT_ROWS + 5
-    e_dens = rng.uniform(0.0, 1.0, (n, 2))
-    e_dens[0] = [-0.0, 1e-300]
-    p_dens = -rng.uniform(0.0, 1e3, (n, 2))
-    ts = TimeSeries(
-        times=np.arange(n) * 0.75,
-        amplitudes_norm=1.0 + rng.normal(size=n) * 1e-13,
-        dipole=rng.normal(size=n),
-        electron_density=e_dens,
-        phonon_density=p_dens,
-        dipole_full=np.zeros(n),
-    )
-    laser = LaserParams()
-    buf = io.StringIO()
-    export_timeseries(ts, laser, buf, ["a header"])
-
-    e_vals = electric_field(ts.times, laser)
-    expected = ["# a header\n", "# t\tE\tdipole\tnorm\tn_e_0\tn_e_1\tn_ph_0\tn_ph_1\n"]
-    for s in range(n):
-        row = [ts.times[s], e_vals[s], ts.dipole[s], ts.amplitudes_norm[s]]
-        row.extend(ts.electron_density[s])
-        row.extend(ts.phonon_density[s])
-        expected.append("\t".join(f"{x:.15g}" for x in row) + "\n")
-    got = buf.getvalue().splitlines(keepends=True)
-    assert len(got) == len(expected)
-    bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
-    assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {expected[bad[0]]!r}"
-    assert "\t-0\t1e-300\t" in got[2]
 
 
 def test_transition_required():

@@ -1,7 +1,5 @@
 """Eigensolver paths, transition matrix, state selection and relevance ranking."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from polaron_hhg.spectral import (
     EigensolveError,
     degenerate_clusters,
     eigensolve_lowest,
-    export_levels,
     harmonic_order,
     select_nr,
     state_relevance,
@@ -173,7 +170,6 @@ def test_state_relevance_shape_and_sentinel():
         energies=np.array([0.0, 0.01]),
         vectors=np.eye(2),
         transition=np.array([[0.0, 0.5], [0.5, 0.0]]),
-        gs_transition=np.array([0.0, 0.5]),
     )
     rel = state_relevance(eig, OMEGA_L)
     assert rel.shape == (2, 2)
@@ -204,18 +200,3 @@ def test_truncated_slices_consistently():
 def test_degenerate_clusters_grouping():
     e = np.array([0.0, 1e-12, 1e-3, 2e-3, 2e-3 + 5e-10])
     assert degenerate_clusters(e) == [[0, 1], [2], [3, 4]]
-
-
-def test_export_levels_format():
-    model = ModelParams(n_cells=1, phonon_cutoff=1)
-    basis = BasisIndex(model)
-    eig = with_transition(_solve(model), build_position(model, basis))
-    buf = io.StringIO()
-    export_levels(eig.energies, state_relevance(eig, OMEGA_L), buf, header_lines=["demo"])
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# demo"
-    data = [l for l in lines if not l.startswith("#")]
-    assert len(data) == 2
-    first = data[0].split("\t")
-    assert int(first[0]) == 0
-    assert float(first[1]) == pytest.approx(eig.energies[0], rel=1e-14)

@@ -1,17 +1,9 @@
 """Spectral analysis: discrete derivative, window, FFT grid and normalization."""
 
-import io
-
 import numpy as np
 import pytest
 
-from polaron_hhg.spectrum import (
-    SpectrumResult,
-    acceleration,
-    export_spectrum,
-    hann_window,
-    yield_spectrum,
-)
+from polaron_hhg.spectrum import acceleration, hann_window, yield_spectrum
 
 
 def test_acceleration_constant_is_zero():
@@ -137,19 +129,3 @@ def test_yield_spectrum_validation():
         yield_spectrum(np.array([]), 0.1, 1.0)
     with pytest.raises(ValueError):
         yield_spectrum(np.ones(16), 0.1, 0.0)
-
-
-def test_export_spectrum_format():
-    res = SpectrumResult(
-        orders=np.array([0.0, 1.0, 2.0]),
-        yield_raw=np.array([-1.0, 0.0, -3.0]),
-        yield_norm=np.array([-1.0, 0.0, -3.0]),
-        fundamental_index=1,
-    )
-    buf = io.StringIO()
-    export_spectrum(res, buf, header_lines=["demo"], max_order=1.5)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# demo"
-    data = [l for l in lines if not l.startswith("#")]
-    assert len(data) == 2  # order 2.0 capped away
-    assert data[1].split("\t")[0] == "1"
