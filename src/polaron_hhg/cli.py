@@ -144,11 +144,13 @@ def _check_run_value(key: str, value) -> None:
         for g in value:
             if g > 0:
                 raise ConfigError(f"[run] gamma_values: gamma must be <= 0, got {g}")
+        if len(set(value)) < len(value):
+            raise ConfigError(f"[run] gamma_values repeats a coupling: {value}")
     if key == "l_values":
         if not value or any(l < 1 for l in value):
             raise ConfigError("[run] l_values must be a list of cutoffs >= 1")
-        if list(value) != sorted(value):
-            raise ConfigError(f"[run] l_values must be ascending, got {value}")
+        if any(a >= b for a, b in zip(value, value[1:])):
+            raise ConfigError(f"[run] l_values must be strictly ascending, got {value}")
 
 
 def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
@@ -257,9 +259,7 @@ def _auto_correlate_states(eig, omega_l: float) -> list[int]:
 
 
 def _mode_levels(cfg, outdir, cfg_hash, manifest, workers):
-    eig = solve_eigenbasis(
-        cfg.model, cfg.laser.omega_l, cfg.max_order, cfg.nr_override, cfg.dense_threshold
-    )
+    eig = solve_eigenbasis(cfg)
     relevance = state_relevance(eig, cfg.laser.omega_l)
     _write_levels(outdir / "levels.txt", _header(cfg_hash, "levels"), eig.energies, relevance)
     manifest.append("levels.txt")
@@ -267,17 +267,10 @@ def _mode_levels(cfg, outdir, cfg_hash, manifest, workers):
 
 
 def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
-    result = run_point(
-        cfg.model,
-        cfg.laser,
-        cfg.propagation,
-        cfg.max_order,
-        cfg.nr_override,
-        cfg.dense_threshold,
-    )
+    result = run_point(cfg)
     header = _header(cfg_hash, "run")
-    summary, ts = result.summary, result.timeseries
-    _write_levels(outdir / "levels.txt", header, summary.energies, summary.relevance)
+    ts = result.timeseries
+    _write_levels(outdir / "levels.txt", header, result.energies, result.relevance)
     manifest.append("levels.txt")
     ns = ts.electron_density.shape[1]
     names = ["t", "E", "dipole", "norm"]
@@ -315,7 +308,7 @@ def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
     with open(outdir / "relevance.txt", "w") as fh:
         _write_table(fh, header + ["gamma\tharmonic_order\tlog10_Tgs2"], [])
         for g, res in points:
-            rel = res.summary.relevance
+            rel = res.relevance
             rel = rel[rel[:, 0] <= _EXPORT_MAX_ORDER]
             _write_table(fh, [], [np.full(len(rel), g), rel[:, 0], rel[:, 1]])
     manifest.append("relevance.txt")
@@ -345,7 +338,7 @@ def _mode_converge(cfg, outdir, cfg_hash, manifest, workers):
             [
                 report.l_values,
                 report.eps_gs,
-                [-1 if bad else p.summary.nr for p, bad in zip(report.points, failed)],
+                [-1 if bad else p.nr for p, bad in zip(report.points, failed)],
                 report.spectral_diffs + (float("nan"),),
             ],
         )
@@ -364,9 +357,7 @@ def _mode_converge(cfg, outdir, cfg_hash, manifest, workers):
 
 def _mode_correlate(cfg, outdir, cfg_hash, manifest, workers):
     basis = BasisIndex(cfg.model)
-    eig = solve_eigenbasis(
-        cfg.model, cfg.laser.omega_l, cfg.max_order, cfg.nr_override, cfg.dense_threshold
-    )
+    eig = solve_eigenbasis(cfg)
     states = (
         list(cfg.correlate_states)
         if cfg.correlate_states is not None
@@ -414,7 +405,12 @@ def _parse_args(argv):
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", default=None, help="INI config file (defaults apply if omitted)")
     parser.add_argument("--out", default=None, help="output directory (overrides [run] output_dir)")
-    parser.add_argument("--workers", type=int, default=1, help="scan worker processes")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="gamma-scan worker processes; every other mode, converge too, ignores it",
+    )
     return parser.parse_args(argv)
 
 

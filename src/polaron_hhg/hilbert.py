@@ -110,8 +110,8 @@ class BasisIndex:
         self.cutoff = params.phonon_cutoff
         self.dim = total_dim(params)
 
-    def phonon_stride(self, site: int) -> int:
-        """Index stride of one occupation quantum at the given site."""
+    def phonon_stride(self, site: int | np.ndarray) -> int | np.ndarray:
+        """Index stride of one occupation quantum at the given site(s)."""
         return self.n_sites * self.cutoff ** (self.n_sites - 1 - site)
 
     def encode(self, state: BasisState) -> int:

@@ -40,12 +40,6 @@ class SparseOperator:
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.matrix.indptr)
 
-    def dump(self, path) -> None:
-        """Write one ``row<TAB>col<TAB>value`` line per entry (round-trip precision)."""
-        with open(path, "w") as fh:
-            for row, col, val in self.entries():
-                fh.write(f"{row}\t{col}\t{val:.17g}\n")
-
 
 def _assemble(dim: int, rows, cols, vals) -> SparseOperator:
     rows = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]) if rows else np.empty(0, np.int64)
@@ -101,7 +95,7 @@ def build_h_eph(params: ModelParams, basis: BasisIndex) -> SparseOperator:
     idx = np.arange(basis.dim, dtype=np.int64)
     sites = basis.electron_sites
     occ_here = basis.occupations[sites, idx]
-    stride = basis.n_sites * basis.cutoff ** (basis.n_sites - 1 - sites)
+    stride = basis.phonon_stride(sites)
     up = occ_here + 1 < basis.cutoff
     i = idx[up]
     j = i + stride[up]

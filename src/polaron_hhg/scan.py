@@ -1,11 +1,12 @@
 """End-to-end pipeline runs, coupling scans and cutoff convergence studies.
 
-``run_point`` composes the full chain — basis, sparse assembly,
-eigensolve, state selection, propagation, spectrum — for one parameter
-set.  The scan drivers map it over coupling grids or cutoff lists,
-recording per-point failures instead of aborting, and gather results by
-point index so the output is independent of worker count and execution
-order.
+A point is one :class:`ScanSpec`.  ``run_point`` composes the full chain
+— basis, sparse assembly, eigensolve, state selection, propagation,
+spectrum — for it and returns one flat :class:`PointResult`.  The scan
+drivers give each coupling or cutoff a copy of their spec with that
+value in its model, record per-point failures instead of aborting, and
+gather results by point index so the output is independent of worker
+count and execution order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,15 @@ def default_gamma_grid(n_points: int = 26) -> np.ndarray:
 class ScanSpec:
     """Every setting of a pipeline run; the defaults are the reference set.
 
-    ``gamma_values`` are the couplings of :func:`gamma_scan`, ``l_values``
-    the cutoffs of a convergence study, and ``dense_threshold`` the largest
-    dim at which LAPACK replaces an ARPACK result holding a degenerate
-    cluster (see ``eigensolve_lowest``).  The CLI's ``RunConfig`` extends
-    this class, and each of these fields is a key of the CLI's config.
+    One spec is one point: :func:`solve_eigenbasis` and :func:`run_point`
+    read every setting they use from it.  ``dense_threshold`` is the
+    largest dim at which LAPACK replaces an ARPACK result holding a
+    degenerate cluster (see ``eigensolve_lowest``).  ``gamma_values`` are
+    the couplings of :func:`gamma_scan` and ``l_values`` the cutoffs of
+    :func:`convergence_study`; those run one point per value, on a copy
+    of the spec whose model holds that value.  The CLI's ``RunConfig``
+    extends this class, and each of these fields is a key of the CLI's
+    config.
     """
 
     model: ModelParams = field(default_factory=ModelParams)
@@ -68,21 +73,22 @@ class ScanSpec:
 
 
 @dataclass(frozen=True)
-class PointSummary:
-    """Cheap per-point diagnostics kept alongside the heavy arrays."""
+class PointResult:
+    """One point's kept energies (ascending), their :func:`state_relevance`
+    rows, its propagation record and its harmonic spectrum."""
 
-    eps_gs: float
-    nr: int
     energies: np.ndarray = field(repr=False)
     relevance: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class PointResult:
-    model: ModelParams
-    summary: PointSummary
     timeseries: TimeSeries = field(repr=False)
     spectrum: SpectrumResult = field(repr=False)
+
+    @property
+    def eps_gs(self) -> float:
+        return float(self.energies[0])
+
+    @property
+    def nr(self) -> int:
+        return self.energies.shape[0]
 
 
 @dataclass(frozen=True)
@@ -133,86 +139,60 @@ def _one_blas_thread():
             put(n)
 
 
-def solve_eigenbasis(
-    model: ModelParams,
-    omega_l: float,
-    max_order: float = 45.0,
-    nr_override: int | None = None,
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-) -> EigenBasis:
+def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     """Grow the computed block until the order window is covered, then
     truncate to the selected state count and attach the transition matrix.
 
-    The block starts at ``_INITIAL_COUNT`` pairs (or ``nr_override``) and
-    doubles until its top energy lies ``max_order`` laser quanta above the
-    ground state, or it holds all ``dim`` states.  Each block comes from
-    :func:`eigensolve_lowest`, so ARPACK computes it unless it spans
-    nearly the whole space or, up to ``dense_threshold`` states, holds a
-    degenerate level; then LAPACK does.
+    The block starts at ``_INITIAL_COUNT`` pairs (or ``spec.nr_override``)
+    and doubles until its top energy lies ``spec.max_order`` laser quanta
+    above the ground state, or it holds all ``dim`` states.  Each block
+    comes from :func:`eigensolve_lowest`, so ARPACK computes it unless it
+    spans nearly the whole space or, up to ``spec.dense_threshold``
+    states, holds a degenerate level; then LAPACK does.
     """
-    basis = BasisIndex(model)
-    h = build_hamiltonian(model, basis)
-    x = build_position(model, basis)
+    omega_l, nr_override = spec.laser.omega_l, spec.nr_override
+    basis = BasisIndex(spec.model)
+    h = build_hamiltonian(spec.model, basis)
+    x = build_position(spec.model, basis)
     dim = basis.dim
 
     count = min(dim, max(_INITIAL_COUNT, nr_override or 1))
     while True:
-        eig = eigensolve_lowest(h, count, dense_threshold)
+        eig = eigensolve_lowest(h, count, spec.dense_threshold)
         covered = (eig.energies[-1] - eig.energies[0]) / omega_l
         if nr_override is not None and count >= nr_override:
             break
-        if covered >= max_order or count >= dim:
+        if covered >= spec.max_order or count >= dim:
             break
         count = min(2 * count, dim)
 
-    nr = select_nr(eig.energies, omega_l, max_order, nr_override)
+    nr = select_nr(eig.energies, omega_l, spec.max_order, nr_override)
     return with_transition(eig.truncated(nr), x)
 
 
-def run_point(
-    model: ModelParams,
-    laser: LaserParams,
-    cfg: PropagationConfig,
-    max_order: float = 45.0,
-    nr_override: int | None = None,
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-) -> PointResult:
+def run_point(spec: ScanSpec) -> PointResult:
     """Deterministic end-to-end run for one parameter set."""
-    basis = BasisIndex(model)
-    eig = solve_eigenbasis(
-        model, laser.omega_l, max_order, nr_override, dense_threshold
-    )
+    basis = BasisIndex(spec.model)
+    eig = solve_eigenbasis(spec)
     # the propagator's BLAS calls are too small to gain from more threads,
     # and idle OpenBLAS threads spin between them
     with _one_blas_thread():
-        ts = propagate(eig, basis, laser, cfg)
-    spec = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, laser.omega_l)
-    summary = PointSummary(
-        eps_gs=float(eig.energies[0]),
-        nr=eig.nr,
+        ts = propagate(eig, basis, spec.laser, spec.propagation)
+    omega_l = spec.laser.omega_l
+    spectrum = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, omega_l)
+    return PointResult(
         energies=eig.energies.copy(),
-        relevance=state_relevance(eig, laser.omega_l),
-    )
-    return PointResult(model=model, summary=summary, timeseries=ts, spectrum=spec)
-
-
-def _spec_point(spec: ScanSpec, model: ModelParams) -> PointResult:
-    """:func:`run_point` at ``model`` with the other settings of ``spec``."""
-    return run_point(
-        model,
-        spec.laser,
-        spec.propagation,
-        spec.max_order,
-        spec.nr_override,
-        spec.dense_threshold,
+        relevance=state_relevance(eig, omega_l),
+        timeseries=ts,
+        spectrum=spectrum,
     )
 
 
-def _gamma_point(args):
-    spec, gamma = args
-    label = f"gamma={gamma:.15g}"
+def _try_point(spec: ScanSpec, label: str, changes: dict) -> PointResult | PointFailure:
+    """:func:`run_point` on ``spec`` with ``changes`` made to its model, or
+    the failure it raised, an invalid model's too, recorded under ``label``."""
     try:
-        return _spec_point(spec, replace(spec.model, gamma=gamma))
+        return run_point(replace(spec, model=replace(spec.model, **changes)))
     except Exception as exc:  # recorded, scan continues
         return PointFailure(label=label, message=f"{type(exc).__name__}: {exc}")
 
@@ -227,12 +207,14 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     and since ARPACK's rounding depends on the BLAS thread count, the
     results stay bitwise equal for any worker count.
     """
-    tasks = [(spec, float(g)) for g in spec.gamma_values]
+    gammas = [float(g) for g in spec.gamma_values]
+    labels = [f"gamma={g:.15g}" for g in gammas]
+    changes = [{"gamma": g} for g in gammas]
     if workers <= 1:
         with _one_blas_thread():
-            return [_gamma_point(t) for t in tasks]
+            return list(map(_try_point, repeat(spec), labels, changes))
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
-        return list(pool.map(_gamma_point, tasks))
+        return list(pool.map(_try_point, repeat(spec), labels, changes))
 
 
 @dataclass(frozen=True)
@@ -257,21 +239,14 @@ def spectral_distance(
 
 
 def convergence_study(spec: ScanSpec) -> ConvergenceReport:
-    """Run the pipeline per phonon cutoff in ``spec.l_values`` and report
-    ground energies plus max-abs normalized-yield differences between
-    consecutive cutoffs."""
+    """Run the pipeline per phonon cutoff in ``spec.l_values``, which must
+    be strictly ascending, and report ground energies plus max-abs
+    normalized-yield differences between consecutive cutoffs."""
     l_values = tuple(int(l) for l in spec.l_values)
-    if list(l_values) != sorted(l_values):
-        raise ValueError(f"l_values must be ascending, got {l_values}")
-    points: list[PointResult | PointFailure] = []
-    for l in l_values:
-        try:
-            points.append(_spec_point(spec, replace(spec.model, phonon_cutoff=l)))
-        except Exception as exc:
-            points.append(PointFailure(label=f"L={l}", message=f"{type(exc).__name__}: {exc}"))
-    eps = tuple(
-        p.summary.eps_gs if isinstance(p, PointResult) else float("nan") for p in points
-    )
+    if any(a >= b for a, b in zip(l_values, l_values[1:])):
+        raise ValueError(f"l_values must be strictly ascending, got {l_values}")
+    points = [_try_point(spec, f"L={l}", {"phonon_cutoff": l}) for l in l_values]
+    eps = tuple(p.eps_gs if isinstance(p, PointResult) else float("nan") for p in points)
     diffs = []
     for a, b in zip(points, points[1:]):
         if isinstance(a, PointResult) and isinstance(b, PointResult):

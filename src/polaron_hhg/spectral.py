@@ -194,7 +194,7 @@ def harmonic_order(energy: float, energy_gs: float, omega_l: float):
 def select_nr(
     energies: np.ndarray,
     omega_l: float,
-    max_order: float = 45.0,
+    max_order: float,
     override: int | None = None,
 ) -> int:
     """Smallest state count whose top energy reaches ``max_order``.

@@ -82,7 +82,7 @@ def test_criterion_04_atomic_limit_oracle():
 
 
 def test_criterion_05_first_excited_location(run_l1):
-    energies = run_l1.summary.energies
+    energies = run_l1.energies
     order = ph.harmonic_order(energies[1], energies[0], OMEGA_L)
     ok = 18.0 <= order <= 22.0
     _report(5, ok, f"harmonic_order(eps_1) = {order:.4f}, required within [18, 22]")
@@ -175,9 +175,9 @@ def test_criterion_09_norm_conservation_and_rk4_order(
     worst = max(drifts)
 
     model = ph.ModelParams(n_cells=1, phonon_cutoff=1)
-    eig = ph.solve_eigenbasis(model, OMEGA_L, nr_override=2)
-    basis = ph.BasisIndex(model)
     laser = ph.LaserParams()
+    eig = ph.solve_eigenbasis(ph.ScanSpec(model=model, laser=laser, nr_override=2))
+    basis = ph.BasisIndex(model)
     finals = {
         n: ph.propagate(
             eig, basis, laser, ph.PropagationConfig(n_steps=n, record_stride=n)
@@ -199,9 +199,9 @@ def test_criterion_09_norm_conservation_and_rk4_order(
 
 
 def test_criterion_10_relevance_ranking(run_l3):
-    rel = run_l3.summary.relevance  # columns: order, log10 Tgs^2
+    rel = run_l3.relevance  # columns: order, log10 Tgs^2
     candidates = [
-        m for m in range(1, run_l3.summary.nr) if rel[m, 0] <= 40.0
+        m for m in range(1, run_l3.nr) if rel[m, 0] <= 40.0
     ]
     top3 = sorted(sorted(candidates, key=lambda m: rel[m, 1], reverse=True)[:3])
     ok = top3 == [1, 7, 12]

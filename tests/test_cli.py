@@ -22,7 +22,7 @@ from polaron_hhg.cli import (
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import ModelParams
 from polaron_hhg.pulse import LaserParams
-from polaron_hhg.scan import solve_eigenbasis
+from polaron_hhg.scan import ScanSpec, solve_eigenbasis
 from polaron_hhg.spectrum import SpectrumResult
 
 # small, fast configuration: 4 retained states, modest step count
@@ -83,6 +83,8 @@ def test_missing_file_rejected():
         ("[run]\ngamma_values = 0.1, -0.2\n", "gamma_values"),
         ("[run]\nl_values = 0\n", "l_values"),
         ("[run]\nl_values = 2, 1\n", "l_values"),
+        ("[run]\nl_values = 1, 2, 2\n", "l_values"),
+        ("[run]\ngamma_values = -0.01, -0.02, -0.01\n", "gamma_values"),
         ("[run]\nmax_order = nan\n", "max_order"),
         ("[run]\nmax_order = inf\n", "max_order"),
         ("[laser]\nomega_l = nan\n", "omega_l"),
@@ -196,7 +198,7 @@ def test_levels_table_format(tmp_path):
     data = [l.split("\t") for l in lines if not l.startswith("#")]
     assert [row[0] for row in data] == ["0", "1"]  # integer index column
     model = ModelParams(n_cells=1, phonon_cutoff=1)
-    eig = solve_eigenbasis(model, LaserParams().omega_l, nr_override=2)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LaserParams(), nr_override=2))
     for row, energy in zip(data, eig.energies):
         assert float(row[1]) == pytest.approx(energy, rel=1e-14)
 

@@ -20,14 +20,14 @@ from polaron_hhg.operators import (
     build_position,
 )
 from polaron_hhg.pulse import LaserParams, electric_field
-from polaron_hhg.scan import solve_eigenbasis
+from polaron_hhg.scan import ScanSpec, solve_eigenbasis
 from polaron_hhg.spectral import EigenBasis
 
 TWO_SITE = ModelParams(n_cells=1, phonon_cutoff=1)
 
 
 def _eig(model, **kw):
-    return solve_eigenbasis(model, LaserParams().omega_l, **kw)
+    return solve_eigenbasis(ScanSpec(model=model, laser=LaserParams(), **kw))
 
 
 def _manual_eig(energies, transition, dim=None):

@@ -244,15 +244,3 @@ def test_row_degree_bound():
     op = build_hamiltonian(model, BasisIndex(model))
     assert op.row_degrees().max() <= 5
 
-
-def test_dump_round_trips(tmp_path):
-    model = _model(1, 2)
-    basis = BasisIndex(model)
-    op = build_hamiltonian(model, basis)
-    path = tmp_path / "h.txt"
-    op.dump(path)
-    dense = np.zeros((basis.dim, basis.dim))
-    for line in path.read_text().splitlines():
-        r, c, val = line.split("\t")
-        dense[int(r), int(c)] = float(val)
-    assert np.array_equal(dense, op.to_dense())

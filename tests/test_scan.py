@@ -1,5 +1,7 @@
 """Pipeline composition: determinism, decoupled limits, scan drivers, maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from polaron_hhg.scan import (
 LASER = LaserParams()
 SMALL = ModelParams(n_cells=1, phonon_cutoff=1)
 CFG15 = PropagationConfig(n_steps=2**15, record_stride=2**15)
+SMALL_SPEC = ScanSpec(model=SMALL, laser=LASER, propagation=CFG15)
 
 
 def test_default_gamma_grid():
@@ -34,11 +37,11 @@ def test_default_gamma_grid():
 
 
 def test_run_point_deterministic():
-    a = run_point(SMALL, LASER, CFG15)
-    b = run_point(SMALL, LASER, CFG15)
+    a = run_point(SMALL_SPEC)
+    b = run_point(SMALL_SPEC)
     assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
     assert np.array_equal(a.timeseries.dipole_full, b.timeseries.dipole_full)
-    assert a.summary.eps_gs == b.summary.eps_gs
+    assert a.eps_gs == b.eps_gs
 
 
 def test_decoupled_phonons_are_spectators():
@@ -47,8 +50,9 @@ def test_decoupled_phonons_are_spectators():
     # log-yield comparison is restricted to bins within ten decades of
     # the window peak, where it is conditioned well enough for 1e-8
     cfg = PropagationConfig(n_steps=2**16, record_stride=2**16)
-    r1 = run_point(ModelParams(n_cells=1, phonon_cutoff=1, gamma=0.0), LASER, cfg, max_order=120.0)
-    r2 = run_point(ModelParams(n_cells=1, phonon_cutoff=2, gamma=0.0), LASER, cfg, max_order=120.0)
+    spec = ScanSpec(laser=LASER, propagation=cfg, max_order=120.0)
+    r1 = run_point(replace(spec, model=ModelParams(n_cells=1, phonon_cutoff=1, gamma=0.0)))
+    r2 = run_point(replace(spec, model=ModelParams(n_cells=1, phonon_cutoff=2, gamma=0.0)))
     orders = r1.spectrum.orders
     window = (orders >= 0) & (orders <= 40)
     strong = window & (
@@ -60,7 +64,7 @@ def test_decoupled_phonons_are_spectators():
     # structural side: the added states hold an integer number of quanta
     # and are exactly dark from the ground state
     model = ModelParams(n_cells=1, phonon_cutoff=2, gamma=0.0)
-    eig = solve_eigenbasis(model, LASER.omega_l, max_order=120.0)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER, max_order=120.0))
     total = BasisIndex(model).occupations.sum(axis=0)
     quanta = (eig.vectors**2 * total[:, None]).sum(axis=0)
     assert np.abs(quanta - np.rint(quanta)).max() <= 1e-12
@@ -75,8 +79,9 @@ ARPACK_THRESHOLD = 100
 
 
 def test_arpack_solve_is_reproducible():
-    a = solve_eigenbasis(ARPACK_MODEL, LASER.omega_l, dense_threshold=ARPACK_THRESHOLD)
-    b = solve_eigenbasis(ARPACK_MODEL, LASER.omega_l, dense_threshold=ARPACK_THRESHOLD)
+    spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+    a = solve_eigenbasis(spec)
+    b = solve_eigenbasis(spec)
     assert a.nr == b.nr
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.transition, b.transition)
@@ -93,14 +98,15 @@ def test_arpack_gamma_scan_worker_count_invariance():
     serial = gamma_scan(spec, workers=1)
     parallel = gamma_scan(spec, workers=2)
     for a, b in zip(serial, parallel):
-        assert np.array_equal(a.summary.energies, b.summary.energies)
-        assert np.array_equal(a.summary.relevance, b.summary.relevance)
+        assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.relevance, b.relevance)
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
 
 
 def test_paper_model_gamma_scan_worker_count_invariance():
-    # at dim 4374 the serial path runs OpenBLAS on its default threads and
-    # each pool worker on one; the results must not depend on which
+    # at dim 4374 the pool splits the points between two worker processes,
+    # each running OpenBLAS on one thread as the serial path does; the
+    # results must not depend on which process computed a point
     spec = ScanSpec(
         model=ModelParams(),
         laser=LASER,
@@ -111,7 +117,7 @@ def test_paper_model_gamma_scan_worker_count_invariance():
     parallel = gamma_scan(spec, workers=2)
     for a, b in zip(serial, parallel):
         assert isinstance(a, PointResult) and isinstance(b, PointResult)
-        assert np.array_equal(a.summary.energies, b.summary.energies)
+        assert np.array_equal(a.energies, b.energies)
         assert np.array_equal(a.timeseries.dipole_full, b.timeseries.dipole_full)
         assert np.array_equal(a.timeseries.electron_density, b.timeseries.electron_density)
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
@@ -129,7 +135,7 @@ def test_degenerate_window_is_complete():
     # phonon configuration, so e0 + 2 omega_ph is 21-fold degenerate (and
     # more levels besides); Lanczos alone keeps only some copies
     model = ModelParams(gamma=0.0)
-    eig = solve_eigenbasis(model, LASER.omega_l)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     chain = ModelParams(phonon_cutoff=1)
     h1 = build_hamiltonian(chain, BasisIndex(chain)).to_dense()
     ns = 2 * model.n_cells
@@ -160,7 +166,7 @@ def test_gamma_scan_worker_count_invariance():
     parallel = gamma_scan(spec, workers=2)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
-        assert a.summary.eps_gs == b.summary.eps_gs
+        assert a.eps_gs == b.eps_gs
 
 
 def test_convergence_study_small():
@@ -176,18 +182,40 @@ def test_convergence_study_small():
 def test_convergence_study_requires_ascending():
     with pytest.raises(ValueError):
         convergence_study(ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, l_values=(3, 1)))
+    with pytest.raises(ValueError):
+        convergence_study(ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, l_values=(1, 2, 2)))
+
+
+def test_spec_settings_reach_every_point():
+    # the selection rule keeps 5 states at L=2 and 7 at L=3, so every
+    # point that loses the spec's nr_override on its way comes back with more
+    spec = ScanSpec(
+        model=ModelParams(n_cells=1, phonon_cutoff=2),
+        laser=LASER,
+        propagation=CFG15,
+        nr_override=3,
+        gamma_values=(-0.02, -0.01),
+        l_values=(2, 3),
+    )
+    assert solve_eigenbasis(spec).nr == 3
+    assert run_point(spec).nr == 3
+    for workers in (1, 2):
+        assert [p.nr for p in gamma_scan(spec, workers=workers)] == [3, 3]
+    assert [p.nr for p in convergence_study(spec).points] == [3, 3]
 
 
 def test_spectral_distance_grid_mismatch():
-    r1 = run_point(SMALL, LASER, CFG15)
-    r2 = run_point(SMALL, LASER, PropagationConfig(n_steps=2**16, record_stride=2**16))
+    r1 = run_point(SMALL_SPEC)
+    r2 = run_point(
+        replace(SMALL_SPEC, propagation=PropagationConfig(n_steps=2**16, record_stride=2**16))
+    )
     with pytest.raises(ValueError):
         spectral_distance(r1.spectrum, r2.spectrum)
 
 
 def test_correlation_map_vacuum_is_zero():
     model = ModelParams(n_cells=1, phonon_cutoff=3, gamma=0.0)
-    eig = solve_eigenbasis(model, LASER.omega_l)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     grid = correlation_map(eig, BasisIndex(model), 0)
     assert grid.shape == (2, 2)
     assert np.abs(grid).max() <= 1e-24

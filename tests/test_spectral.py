@@ -159,10 +159,10 @@ def test_select_nr_rule_and_clamps():
     assert select_nr(energies, OMEGA_L, max_order=40.0) == 3
     assert select_nr(energies, OMEGA_L, max_order=0.0) == 1
     assert select_nr(energies, OMEGA_L, max_order=1000.0) == 6  # clamp to available
-    assert select_nr(energies, OMEGA_L, override=1500) == 6
-    assert select_nr(energies, OMEGA_L, override=2) == 2
+    assert select_nr(energies, OMEGA_L, 45.0, override=1500) == 6
+    assert select_nr(energies, OMEGA_L, 45.0, override=2) == 2
     with pytest.raises(ValueError):
-        select_nr(np.array([]), OMEGA_L)
+        select_nr(np.array([]), OMEGA_L, 45.0)
 
 
 def test_state_relevance_shape_and_sentinel():
