@@ -5,7 +5,9 @@ Runs are driven by a flat INI file with sections [model], [laser],
 [model], [laser] and [propagation] hold the fields of ``ModelParams``,
 ``LaserParams`` and ``PropagationConfig``, and [run] the other fields of
 ``RunConfig``.  Every key is optional and defaults to the field's default,
-the reference parameter set.  Unknown sections or keys are errors.  All
+the reference parameter set.  Unknown sections or keys are errors.  This
+module only turns the text into values; each settings class checks its
+own values, so the library refuses exactly what the CLI refuses.  All
 artifacts land inside the chosen output directory, each starting with a
 comment header that records the tool version and a hash of the fully
 resolved configuration; the resolved configuration itself is echoed to
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import math
 import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -75,6 +76,11 @@ class RunConfig(ScanSpec):
     # None = ground + top-3 coupled, written and read as "auto"
     correlate_states: tuple[int, ...] | None = field(default=None, metadata={"none": "auto"})
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.correlate_states == ():
+            raise ValueError("correlate_states is empty; write auto for the default states")
+
 
 # INI section -> the dataclass whose fields are its keys; the first three
 # are also the names of RunConfig's fields, and [run] holds its others
@@ -95,13 +101,9 @@ def _section_fields(section: str) -> list:
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
-        value = kind(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-    # no setting takes nan or inf: max_order = inf, say, would diagonalise the whole space
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
-    return value
 
 
 def _parse_value(section: str, f, kind, raw: str):
@@ -129,41 +131,6 @@ def _format_value(f, value) -> str:
     return repr(value)
 
 
-def _check_run_value(key: str, value) -> None:
-    """Constraints the CLI puts on [run] values beyond the library's own;
-    a library ``ScanSpec`` with a positive coupling records a failed point."""
-    if key == "nr_override" and value is not None and value < 1:
-        raise ConfigError(f"[run] nr_override must be >= 1, got {value}")
-    if key == "max_order" and value < 0:
-        raise ConfigError(f"[run] max_order must be >= 0, got {value}")
-    if key == "correlate_states" and value == ():
-        raise ConfigError("[run] correlate_states is empty; write auto for the default states")
-    if key == "gamma_values":
-        if not value:
-            raise ConfigError("[run] gamma_values is empty")
-        for g in value:
-            if g > 0:
-                raise ConfigError(f"[run] gamma_values: gamma must be <= 0, got {g}")
-        if len(set(value)) < len(value):
-            raise ConfigError(f"[run] gamma_values repeats a coupling: {value}")
-    if key == "l_values":
-        if not value or any(l < 1 for l in value):
-            raise ConfigError("[run] l_values must be a list of cutoffs >= 1")
-        if any(a >= b for a, b in zip(value, value[1:])):
-            raise ConfigError(f"[run] l_values must be strictly ascending, got {value}")
-
-
-def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
-    """Values of the keys the file sets in ``section``, checked in field order."""
-    values = {}
-    for f, kind in _section_fields(section):
-        if parser.has_option(section, f.name):
-            values[f.name] = _parse_value(section, f, kind, parser.get(section, f.name))
-            if section == "run":
-                _check_run_value(f.name, values[f.name])
-    return values
-
-
 def parse_config(path: str | None) -> RunConfig:
     """Read and validate a config file; ``None`` gives the full default set."""
     parser = configparser.ConfigParser(default_section=_NO_DEFAULT_SECTION)
@@ -184,14 +151,22 @@ def parse_config(path: str | None) -> RunConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
 
-    nested = {}
-    for section in ("model", "laser", "propagation"):
-        values = _read_section(parser, section)
+    # each class checks its own values, and [run], the last, takes the others
+    built = {}
+    for section, cls in _SECTIONS.items():
+        # parsed outside the try: a parse error is a ConfigError already
+        values = {
+            f.name: _parse_value(section, f, kind, parser.get(section, f.name))
+            for f, kind in _section_fields(section)
+            if parser.has_option(section, f.name)
+        }
+        if cls is RunConfig:
+            values.update(built)
         try:
-            nested[section] = _SECTIONS[section](**values)
+            built[section] = cls(**values)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return RunConfig(**nested, **_read_section(parser, "run"))
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return built["run"]
 
 
 def resolved_config_text(cfg: RunConfig) -> str:

@@ -33,12 +33,13 @@ class InvalidStateError(ValueError):
 class ModelParams:
     """Physical couplings and lattice geometry, all in atomic units (hbar = 1).
 
-    v, w        intra-cell / inter-cell hopping energies (<= 0)
-    gamma       local electron-phonon coupling (<= 0; 0 decouples the phonons)
-    omega_ph    oscillator quantum (> 0)
+    v, w        intra-cell / inter-cell hopping energies (finite, <= 0)
+    gamma       local electron-phonon coupling (finite, <= 0; 0 decouples
+                the phonons)
+    omega_ph    oscillator quantum (finite, > 0)
     n_cells     number of two-site cells N (>= 1)
     phonon_cutoff   oscillator levels kept per site, L (>= 1)
-    d           average ion spacing (> 0)
+    d           average ion spacing (finite, > 0)
     """
 
     v: float = -0.073
@@ -50,20 +51,17 @@ class ModelParams:
     d: float = 2.0
 
     def __post_init__(self):
-        if self.v > 0:
-            raise ValueError(f"v must be <= 0, got {self.v}")
-        if self.w > 0:
-            raise ValueError(f"w must be <= 0, got {self.w}")
-        if self.gamma > 0:
-            raise ValueError(f"gamma must be <= 0, got {self.gamma}")
-        if self.omega_ph <= 0:
-            raise ValueError(f"omega_ph must be > 0, got {self.omega_ph}")
+        # each test is false for nan, and a bound excludes inf
+        for name in ("v", "w", "gamma"):
+            if not -np.inf < getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be finite and <= 0, got {getattr(self, name)}")
+        for name in ("omega_ph", "d"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.phonon_cutoff < 1:
             raise ValueError(f"phonon_cutoff must be >= 1, got {self.phonon_cutoff}")
-        if self.d <= 0:
-            raise ValueError(f"d must be > 0, got {self.d}")
 
     def n_sites(self) -> int:
         return 2 * self.n_cells

@@ -9,15 +9,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LaserParams:
-    """Vector-potential amplitude, carrier frequency and cycle count (a.u.)."""
+    """Vector-potential amplitude (finite), carrier frequency (finite, > 0)
+    and cycle count (>= 1), in atomic units."""
 
     a0: float = 0.183
     omega_l: float = 0.002
     n_cyc: int = 5
 
     def __post_init__(self):
-        if self.omega_l <= 0:
-            raise ValueError(f"omega_l must be > 0, got {self.omega_l}")
+        if not -np.inf < self.a0 < np.inf:
+            raise ValueError(f"a0 must be finite, got {self.a0}")
+        if not 0 < self.omega_l < np.inf:
+            raise ValueError(f"omega_l must be finite and > 0, got {self.omega_l}")
         if self.n_cyc < 1:
             raise ValueError(f"n_cyc must be >= 1, got {self.n_cyc}")
 

@@ -15,7 +15,7 @@ import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .spectral import (
     DENSE_THRESHOLD_DEFAULT,
     EigenBasis,
     eigensolve_lowest,
+    harmonic_order,
     select_nr,
     state_relevance,
     with_transition,
@@ -58,6 +59,11 @@ class ScanSpec:
     of the spec whose model holds that value.  The CLI's ``RunConfig``
     extends this class, and each of these fields is a key of the CLI's
     config.
+
+    A ValueError naming the field is raised unless ``nr_override`` is
+    None or >= 1, ``max_order`` is finite and >= 0, ``gamma_values`` holds
+    one or more distinct finite couplings <= 0, and ``l_values`` one or
+    more strictly ascending cutoffs >= 1; so every scan point is valid.
     """
 
     model: ModelParams = field(default_factory=ModelParams)
@@ -70,6 +76,21 @@ class ScanSpec:
         default_factory=lambda: tuple(default_gamma_grid().tolist())
     )
     l_values: tuple[int, ...] = (1, 3, 5, 6)
+
+    def __post_init__(self):
+        if self.nr_override is not None and not self.nr_override >= 1:
+            raise ValueError(f"nr_override must be >= 1, got {self.nr_override}")
+        if not 0 <= self.max_order < np.inf:
+            raise ValueError(f"max_order must be finite and >= 0, got {self.max_order}")
+        gammas, cutoffs = self.gamma_values, self.l_values
+        if len(gammas) == 0 or not all(-np.inf < g <= 0 for g in gammas):
+            raise ValueError(f"gamma_values must be one or more finite values <= 0, got {gammas}")
+        if len(set(gammas)) < len(gammas):
+            raise ValueError(f"gamma_values repeats a coupling: {gammas}")
+        if len(cutoffs) == 0 or not all(l >= 1 for l in cutoffs):
+            raise ValueError(f"l_values must be one or more cutoffs >= 1, got {cutoffs}")
+        if not all(a < b for a, b in zip(cutoffs, cutoffs[1:])):
+            raise ValueError(f"l_values must be strictly ascending, got {cutoffs}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +180,7 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     count = min(dim, max(_INITIAL_COUNT, nr_override or 1))
     while True:
         eig = eigensolve_lowest(h, count, spec.dense_threshold)
-        covered = (eig.energies[-1] - eig.energies[0]) / omega_l
+        covered = harmonic_order(eig.energies[-1], eig.energies[0], omega_l)
         if nr_override is not None and count >= nr_override:
             break
         if covered >= spec.max_order or count >= dim:
@@ -188,17 +209,17 @@ def run_point(spec: ScanSpec) -> PointResult:
     )
 
 
-def _try_point(spec: ScanSpec, label: str, changes: dict) -> PointResult | PointFailure:
-    """:func:`run_point` on ``spec`` with ``changes`` made to its model, or
-    the failure it raised, an invalid model's too, recorded under ``label``."""
+def _try_point(spec: ScanSpec, label: str) -> PointResult | PointFailure:
+    """:func:`run_point` on ``spec``, or the failure it raised, recorded
+    under ``label``."""
     try:
-        return run_point(replace(spec, model=replace(spec.model, **changes)))
+        return run_point(spec)
     except Exception as exc:  # recorded, scan continues
         return PointFailure(label=label, message=f"{type(exc).__name__}: {exc}")
 
 
 def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFailure]:
-    """One pipeline run per coupling value; failures recorded in place.
+    """One pipeline run per coupling in ``spec.gamma_values``; failures recorded in place.
 
     Results come back ordered by grid index whatever the worker count.
     Every point runs OpenBLAS on one thread, in the serial path (for the
@@ -208,13 +229,13 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     results stay bitwise equal for any worker count.
     """
     gammas = [float(g) for g in spec.gamma_values]
+    specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
     labels = [f"gamma={g:.15g}" for g in gammas]
-    changes = [{"gamma": g} for g in gammas]
     if workers <= 1:
         with _one_blas_thread():
-            return list(map(_try_point, repeat(spec), labels, changes))
+            return list(map(_try_point, specs, labels))
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
-        return list(pool.map(_try_point, repeat(spec), labels, changes))
+        return list(pool.map(_try_point, specs, labels))
 
 
 @dataclass(frozen=True)
@@ -239,13 +260,14 @@ def spectral_distance(
 
 
 def convergence_study(spec: ScanSpec) -> ConvergenceReport:
-    """Run the pipeline per phonon cutoff in ``spec.l_values``, which must
-    be strictly ascending, and report ground energies plus max-abs
-    normalized-yield differences between consecutive cutoffs."""
+    """Run the pipeline per phonon cutoff in ``spec.l_values`` (strictly
+    ascending, see :class:`ScanSpec`) and report ground energies plus
+    max-abs normalized-yield differences between consecutive cutoffs."""
     l_values = tuple(int(l) for l in spec.l_values)
-    if any(a >= b for a, b in zip(l_values, l_values[1:])):
-        raise ValueError(f"l_values must be strictly ascending, got {l_values}")
-    points = [_try_point(spec, f"L={l}", {"phonon_cutoff": l}) for l in l_values]
+    points = [
+        _try_point(replace(spec, model=replace(spec.model, phonon_cutoff=l)), f"L={l}")
+        for l in l_values
+    ]
     eps = tuple(p.eps_gs if isinstance(p, PointResult) else float("nan") for p in points)
     diffs = []
     for a, b in zip(points, points[1:]):

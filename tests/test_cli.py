@@ -88,6 +88,9 @@ def test_missing_file_rejected():
         ("[run]\nmax_order = nan\n", "max_order"),
         ("[run]\nmax_order = inf\n", "max_order"),
         ("[laser]\nomega_l = nan\n", "omega_l"),
+        ("[laser]\na0 = inf\n", r"\[laser\] a0\b"),
+        ("[model]\nd = inf\n", r"\[model\] d\b"),
+        ("[model]\nv = -inf\n", r"\[model\] v\b"),
         ("[run]\ngamma_values = -0.01, nan\n", "gamma_values"),
         ("[run]\ncorrelate_states = ,\n", "correlate_states"),
         # a [DEFAULT] section would spread its keys into every section
@@ -98,6 +101,12 @@ def test_missing_file_rejected():
 def test_invalid_configs_name_the_offender(tmp_path, snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(_write(tmp_path, snippet))
+
+
+def test_run_config_refuses_empty_correlate_states():
+    # the library counterpart of the config case above
+    with pytest.raises(ValueError, match="^correlate_states"):
+        RunConfig(correlate_states=())
 
 
 EVERY_RUN_KEY = """

@@ -148,14 +148,24 @@ def test_degenerate_window_is_complete():
 
 
 def test_gamma_scan_records_failures_and_continues():
+    # at gamma = -0.5 the kept levels spread far enough that 2400 steps
+    # turn the fastest by 1.01 rad per step, past the stability guard;
+    # the other two points turn by about 0.96
     spec = ScanSpec(
-        model=SMALL, laser=LASER, propagation=CFG15, gamma_values=(-0.01, 0.5, 0.0)
+        model=ModelParams(n_cells=1, phonon_cutoff=2),
+        laser=LASER,
+        propagation=PropagationConfig(n_steps=2400, record_stride=2400),
+        gamma_values=(-0.01, -0.5, 0.0),
     )
-    results = gamma_scan(spec, workers=1)
-    assert isinstance(results[0], PointResult)
-    assert isinstance(results[1], PointFailure)
-    assert "gamma" in results[1].label
-    assert isinstance(results[2], PointResult)
+    serial = gamma_scan(spec, workers=1)
+    parallel = gamma_scan(spec, workers=2)
+    assert isinstance(serial[1], PointFailure)
+    assert serial[1].label == "gamma=-0.5"
+    assert "stability guard" in serial[1].message
+    assert parallel[1] == serial[1]
+    for a, b in zip(serial[::2], parallel[::2]):
+        assert isinstance(a, PointResult) and isinstance(b, PointResult)
+        assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
 
 
 def test_gamma_scan_worker_count_invariance():
@@ -184,6 +194,49 @@ def test_convergence_study_requires_ascending():
         convergence_study(ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, l_values=(3, 1)))
     with pytest.raises(ValueError):
         convergence_study(ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, l_values=(1, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+@pytest.mark.parametrize(
+    "cls,key",
+    [
+        (ModelParams, "v"),
+        (ModelParams, "w"),
+        (ModelParams, "gamma"),
+        (ModelParams, "omega_ph"),
+        (ModelParams, "d"),
+        (LaserParams, "a0"),
+        (LaserParams, "omega_l"),
+        (ScanSpec, "max_order"),
+        (ScanSpec, "gamma_values"),
+    ],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_settings_refuse_non_finite_values(cls, key, bad):
+    value = (-0.01, bad) if key == "gamma_values" else bad
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        cls(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("nr_override", 0),
+        ("max_order", -1.0),
+        ("l_values", (0,)),
+        ("l_values", (2, 1)),
+        ("l_values", (1, 2, 2)),
+        ("l_values", ()),
+        ("gamma_values", (0.1, -0.2)),
+        ("gamma_values", (-0.01, -0.02, -0.01)),
+        ("gamma_values", (0.0, -0.0)),
+        ("gamma_values", ()),
+    ],
+    ids=str,
+)
+def test_scan_spec_refuses_what_the_config_reader_refuses(key, value):
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        ScanSpec(**{key: value})
 
 
 def test_spec_settings_reach_every_point():
