@@ -8,10 +8,16 @@ code with the electron site as the fastest digit and the occupation of
 site 0 as the most significant digit.  That makes electron-hopping
 blocks contiguous and keeps every phonon-diagonal operator diagonal in
 contiguous runs.
+
+Chain inversion maps site r to 2N-1-r and carries each oscillator along
+with its site.  It commutes with the Hamiltonian and flips the position,
+and since 2N is even it fixes no basis state: the space splits into an
+even and an odd half of exactly dim/2 states each.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +43,8 @@ class ModelParams:
     gamma       local electron-phonon coupling (finite, <= 0; 0 decouples
                 the phonons)
     omega_ph    oscillator quantum (finite, > 0)
-    n_cells     number of two-site cells N (>= 1)
-    phonon_cutoff   oscillator levels kept per site, L (>= 1)
+    n_cells     number of two-site cells N (integer, >= 1)
+    phonon_cutoff   oscillator levels kept per site, L (integer, >= 1)
     d           average ion spacing (finite, > 0)
     """
 
@@ -58,16 +64,20 @@ class ModelParams:
         for name in ("omega_ph", "d"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
-        if self.phonon_cutoff < 1:
-            raise ValueError(f"phonon_cutoff must be >= 1, got {self.phonon_cutoff}")
+        for name in ("n_cells", "phonon_cutoff"):
+            if not is_integer(getattr(self, name)) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
 
     def n_sites(self) -> int:
         return 2 * self.n_cells
 
     def total_dim(self) -> int:
         return total_dim(self)
+
+
+def is_integer(value) -> bool:
+    """True for an integer (numpy's included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -156,3 +166,17 @@ class BasisIndex:
             code //= self.cutoff
         occ.flags.writeable = False
         return occ
+
+    @cached_property
+    def inversion(self) -> np.ndarray:
+        """Index of the chain-inverted state, shape (dim,).
+
+        Inversion puts the electron on site 2N-1-r and reverses the
+        occupation tuple.  The map is an involution without fixed points.
+        """
+        # the reversed tuple makes occupation f the digit of weight L**f
+        weights = self.cutoff ** np.arange(self.n_sites, dtype=np.int64)
+        code = weights @ self.occupations
+        inv = code * self.n_sites + (self.n_sites - 1 - self.electron_sites)
+        inv.flags.writeable = False
+        return inv

@@ -15,6 +15,7 @@ import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -22,21 +23,24 @@ import numpy as np
 import scipy
 
 from .dynamics import PropagationConfig, TimeSeries, propagate
-from .hilbert import BasisIndex, ModelParams
-from .operators import build_hamiltonian, build_position
+from .hilbert import BasisIndex, ModelParams, is_integer
+from .operators import SparseOperator, build_hamiltonian, build_position
 from .pulse import LaserParams
 from .spectral import (
     DENSE_THRESHOLD_DEFAULT,
     EigenBasis,
+    _fix_phases,
     eigensolve_lowest,
     harmonic_order,
     select_nr,
     state_relevance,
+    warn_near_degenerate_ground,
     with_transition,
 )
 from .spectrum import SpectrumResult, acceleration, yield_spectrum
 
-_INITIAL_COUNT = 64
+# pairs first computed in each parity sector
+_INITIAL_COUNT = 32
 # harmonic orders over which a convergence study compares consecutive cutoffs
 CONVERGENCE_WINDOW = (2.0, 40.0)
 
@@ -52,18 +56,20 @@ class ScanSpec:
 
     One spec is one point: :func:`solve_eigenbasis` and :func:`run_point`
     read every setting they use from it.  ``dense_threshold`` is the
-    largest dim at which LAPACK replaces an ARPACK result holding a
-    degenerate cluster (see ``eigensolve_lowest``).  ``gamma_values`` are
-    the couplings of :func:`gamma_scan` and ``l_values`` the cutoffs of
-    :func:`convergence_study`; those run one point per value, on a copy
-    of the spec whose model holds that value.  The CLI's ``RunConfig``
-    extends this class, and each of these fields is a key of the CLI's
-    config.
+    largest parity-sector dim (half the space, see
+    :func:`solve_eigenbasis`) at which LAPACK replaces an ARPACK result
+    holding a degenerate cluster (see ``eigensolve_lowest``).
+    ``gamma_values`` are the couplings of :func:`gamma_scan` and
+    ``l_values`` the cutoffs of :func:`convergence_study`; those run one
+    point per value, on a copy of the spec whose model holds that value.
+    The CLI's ``RunConfig`` extends this class, and each of these fields
+    is a key of the CLI's config.
 
     A ValueError naming the field is raised unless ``nr_override`` is
-    None or >= 1, ``max_order`` is finite and >= 0, ``gamma_values`` holds
-    one or more distinct finite couplings <= 0, and ``l_values`` one or
-    more strictly ascending cutoffs >= 1; so every scan point is valid.
+    None or an integer >= 1, ``max_order`` is finite and >= 0,
+    ``gamma_values`` holds one or more distinct finite couplings <= 0, and
+    ``l_values`` one or more strictly ascending integer cutoffs >= 1; so
+    every scan point is valid.
     """
 
     model: ModelParams = field(default_factory=ModelParams)
@@ -78,8 +84,10 @@ class ScanSpec:
     l_values: tuple[int, ...] = (1, 3, 5, 6)
 
     def __post_init__(self):
-        if self.nr_override is not None and not self.nr_override >= 1:
-            raise ValueError(f"nr_override must be >= 1, got {self.nr_override}")
+        if self.nr_override is not None and not (
+            is_integer(self.nr_override) and self.nr_override >= 1
+        ):
+            raise ValueError(f"nr_override must be an integer >= 1, got {self.nr_override!r}")
         if not 0 <= self.max_order < np.inf:
             raise ValueError(f"max_order must be finite and >= 0, got {self.max_order}")
         gammas, cutoffs = self.gamma_values, self.l_values
@@ -87,8 +95,8 @@ class ScanSpec:
             raise ValueError(f"gamma_values must be one or more finite values <= 0, got {gammas}")
         if len(set(gammas)) < len(gammas):
             raise ValueError(f"gamma_values repeats a coupling: {gammas}")
-        if len(cutoffs) == 0 or not all(l >= 1 for l in cutoffs):
-            raise ValueError(f"l_values must be one or more cutoffs >= 1, got {cutoffs}")
+        if len(cutoffs) == 0 or not all(is_integer(l) and l >= 1 for l in cutoffs):
+            raise ValueError(f"l_values must be one or more integer cutoffs >= 1, got {cutoffs}")
         if not all(a < b for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError(f"l_values must be strictly ascending, got {cutoffs}")
 
@@ -118,11 +126,13 @@ class PointFailure:
     message: str
 
 
-def _openblas_thread_controls() -> list:
+@cache
+def _openblas_thread_controls() -> tuple:
     """(get, set) thread-count entry points of the bundled OpenBLAS builds.
 
-    Looks in the OpenBLAS libraries that numpy and scipy ship; the list
-    is empty where there are none (another BLAS, or a system build).
+    Looks in the OpenBLAS libraries that numpy and scipy ship, once per
+    process; the tuple is empty where there are none (another BLAS, or a
+    system build).
     """
     controls = []
     for module in (np, scipy):
@@ -137,7 +147,7 @@ def _openblas_thread_controls() -> list:
                     put.argtypes, put.restype = [ctypes.c_int], None
                     controls.append((get, put))
                     break
-    return controls
+    return tuple(controls)
 
 
 def _one_blas_thread_worker() -> None:
@@ -160,44 +170,89 @@ def _one_blas_thread():
             put(n)
 
 
-def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
-    """Grow the computed block until the order window is covered, then
-    truncate to the selected state count and attach the transition matrix.
+def _parity_projections(basis: BasisIndex) -> tuple:
+    """(P+, P-): the even and odd sectors under chain inversion Pi.
 
-    The block starts at ``_INITIAL_COUNT`` pairs (or ``spec.nr_override``)
-    and doubles until its top energy lies ``spec.max_order`` laser quanta
-    above the ground state, or it holds all ``dim`` states.  Each block
-    comes from :func:`eigensolve_lowest`, so ARPACK computes it unless it
-    spans nearly the whole space or, up to ``spec.dense_threshold``
-    states, holds a degenerate level; then LAPACK does.
+    Each is a (dim/2, dim) CSR isometry whose row k is
+    (e_i +- e_Pi(i)) / sqrt(2) for the k-th orbit representative
+    i < Pi(i).  Pi fixes no basis state, so the two sectors split the
+    space in equal halves.
     """
-    omega_l, nr_override = spec.laser.omega_l, spec.nr_override
-    basis = BasisIndex(spec.model)
-    h = build_hamiltonian(spec.model, basis)
-    x = build_position(spec.model, basis)
-    dim = basis.dim
+    inv = basis.inversion
+    reps = np.flatnonzero(np.arange(basis.dim) < inv)
+    cols = np.column_stack([reps, inv[reps]]).ravel()
+    rows = np.arange(0, cols.size + 1, 2)
+    amp = np.sqrt(0.5)
+    return tuple(
+        scipy.sparse.csr_matrix(
+            (np.tile([amp, sign * amp], reps.size), cols, rows), shape=(reps.size, basis.dim)
+        )
+        for sign in (1.0, -1.0)
+    )
 
-    count = min(dim, max(_INITIAL_COUNT, nr_override or 1))
-    while True:
-        eig = eigensolve_lowest(h, count, spec.dense_threshold)
-        covered = harmonic_order(eig.energies[-1], eig.energies[0], omega_l)
-        if nr_override is not None and count >= nr_override:
-            break
-        if covered >= spec.max_order or count >= dim:
-            break
-        count = min(2 * count, dim)
 
-    nr = select_nr(eig.energies, omega_l, spec.max_order, nr_override)
-    return with_transition(eig.truncated(nr), x)
+def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
+    """Lowest states of both chain-inversion parity sectors, merged and
+    truncated to the selected state count, with the transition matrix.
+
+    H commutes with inversion, so each sector H+- = P+- H P+-^T is solved
+    on its own by :func:`eigensolve_lowest`, at half the dim.  A sector's
+    block starts at ``_INITIAL_COUNT`` pairs (or ``spec.nr_override``) and
+    doubles until its top energy lies ``spec.max_order`` laser quanta
+    above the ground state, the lowest level of either sector, or it
+    holds the whole sector.  ARPACK computes each block unless it spans
+    nearly the whole sector or, up to ``spec.dense_threshold`` sector
+    states, holds a degenerate level; then LAPACK does.  The merged
+    energies choose ``nr``, and only the kept vectors are lifted back to
+    the site basis.  Every BLAS call runs on one thread, so each mode
+    gives the same bits for the same point.
+    """
+    with _one_blas_thread():
+        omega_l, nr_override = spec.laser.omega_l, spec.nr_override
+        basis = BasisIndex(spec.model)
+        h = build_hamiltonian(spec.model, basis)
+        x = build_position(spec.model, basis)
+        projections = _parity_projections(basis)
+        sectors = [SparseOperator(dim=p.shape[0], matrix=p @ h.matrix @ p.T) for p in projections]
+
+        count = max(_INITIAL_COUNT, nr_override or 1)
+        eigs = [eigensolve_lowest(op, min(count, op.dim), spec.dense_threshold) for op in sectors]
+        while nr_override is None:
+            e_gs = min(e.energies[0] for e in eigs)
+            short = [
+                k
+                for k, (op, e) in enumerate(zip(sectors, eigs))
+                if e.nr < op.dim and harmonic_order(e.energies[-1], e_gs, omega_l) < spec.max_order
+            ]
+            if not short:
+                break
+            for k in short:
+                count = min(2 * eigs[k].nr, sectors[k].dim)
+                eigs[k] = eigensolve_lowest(sectors[k], count, spec.dense_threshold)
+
+        # kept[j] indexes the sectors' states laid end to end
+        energies = np.concatenate([e.energies for e in eigs])
+        order = np.argsort(energies, kind="stable")
+        energies = energies[order]
+        warn_near_degenerate_ground(energies)
+        nr = select_nr(energies, omega_l, spec.max_order, nr_override)
+        kept = order[:nr]
+        vectors = np.empty((basis.dim, nr))
+        start = 0
+        for p, e in zip(projections, eigs):
+            mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
+            vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
+            start += e.nr
+        eig = EigenBasis(energies=energies[:nr], vectors=_fix_phases(vectors))
+        return with_transition(eig, x)
 
 
 def run_point(spec: ScanSpec) -> PointResult:
-    """Deterministic end-to-end run for one parameter set."""
-    basis = BasisIndex(spec.model)
-    eig = solve_eigenbasis(spec)
-    # the propagator's BLAS calls are too small to gain from more threads,
-    # and idle OpenBLAS threads spin between them
+    """Deterministic end-to-end run for one parameter set, on one BLAS
+    thread throughout (see :func:`solve_eigenbasis`)."""
     with _one_blas_thread():
+        basis = BasisIndex(spec.model)
+        eig = solve_eigenbasis(spec)
         ts = propagate(eig, basis, spec.laser, spec.propagation)
     omega_l = spec.laser.omega_l
     spectrum = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, omega_l)
@@ -222,18 +277,17 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     """One pipeline run per coupling in ``spec.gamma_values``; failures recorded in place.
 
     Results come back ordered by grid index whatever the worker count.
-    Every point runs OpenBLAS on one thread, in the serial path (for the
-    length of the scan) and in each pool worker alike: workers sharing
-    the cores then do not starve each other with spinning BLAS threads,
-    and since ARPACK's rounding depends on the BLAS thread count, the
-    results stay bitwise equal for any worker count.
+    Every point runs OpenBLAS on one thread, as in every other mode (see
+    :func:`run_point`), so a point's bits do not depend on the worker
+    count or on the process that computed it.  Pool workers also start
+    on one thread, so that workers sharing the cores never spin idle
+    BLAS threads against each other.
     """
     gammas = [float(g) for g in spec.gamma_values]
     specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
     labels = [f"gamma={g:.15g}" for g in gammas]
     if workers <= 1:
-        with _one_blas_thread():
-            return list(map(_try_point, specs, labels))
+        return list(map(_try_point, specs, labels))
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
         return list(pool.map(_try_point, specs, labels))
 
@@ -263,10 +317,9 @@ def convergence_study(spec: ScanSpec) -> ConvergenceReport:
     """Run the pipeline per phonon cutoff in ``spec.l_values`` (strictly
     ascending, see :class:`ScanSpec`) and report ground energies plus
     max-abs normalized-yield differences between consecutive cutoffs."""
-    l_values = tuple(int(l) for l in spec.l_values)
     points = [
         _try_point(replace(spec, model=replace(spec.model, phonon_cutoff=l)), f"L={l}")
-        for l in l_values
+        for l in spec.l_values
     ]
     eps = tuple(p.eps_gs if isinstance(p, PointResult) else float("nan") for p in points)
     diffs = []
@@ -276,7 +329,7 @@ def convergence_study(spec: ScanSpec) -> ConvergenceReport:
         else:
             diffs.append(float("nan"))
     return ConvergenceReport(
-        l_values=l_values,
+        l_values=spec.l_values,
         points=tuple(points),
         eps_gs=eps,
         spectral_diffs=tuple(diffs),

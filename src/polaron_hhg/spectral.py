@@ -2,12 +2,15 @@
 
 Eigenpairs come from ARPACK's implicitly restarted Lanczos (Lehoucq,
 Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), started from one
-fixed generic vector so that every call gives the same bits.  LAPACK
-(dense, lowest-``count`` subset) stands in only where ARPACK cannot give
-the answer: when ``count >= dim - 1``, which ARPACK does not accept, and,
-up to ``dense_threshold`` states, when the Lanczos result holds a
-degenerate cluster, because single-vector Lanczos finds only some copies
-of an exactly degenerate level.  Both paths return ascending energies,
+fixed generic vector so that every call gives the same bits.  The
+pipeline hands in one chain-inversion parity sector at a time (see
+``scan.solve_eigenbasis``), so no start vector has to reach both the
+even and the odd states.  LAPACK (dense, lowest-``count`` subset) stands
+in only where ARPACK cannot give the answer: when ``count >= dim - 1``,
+which ARPACK does not accept, and, up to ``dense_threshold`` states of
+the operator handed in, when the Lanczos result holds a degenerate
+cluster, because single-vector Lanczos finds only some copies of an
+exactly degenerate level.  Both paths return ascending energies,
 orthonormal vectors with a fixed sign convention, and verified
 residuals.
 """
@@ -107,9 +110,8 @@ def _lapack_lowest(op: SparseOperator, count: int):
 
 
 def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
-    # a fixed start vector makes the result reproducible; it must be generic,
-    # since a symmetric one (all ones, say) is even under chain inversion and
-    # would leave the odd states out of the Krylov space
+    # a fixed start vector makes every call give the same bits; a generic one
+    # has weight on every eigenvector of the operator it is handed
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
     try:
         return scipy.sparse.linalg.eigsh(
@@ -139,9 +141,11 @@ def eigensolve_lowest(
     (``count < dim - 1``).  LAPACK takes over where ARPACK cannot give
     the answer: for ``count >= dim - 1``, and, when ``dim <=
     dense_threshold``, for a Lanczos result holding a degenerate cluster,
-    whose other copies Lanczos may have missed.  Above ``dense_threshold``
-    the Lanczos result stands as it is.  Raises :class:`EigensolveError`
-    on non-convergence or bad residuals.
+    whose other copies Lanczos may have missed.  ``dense_threshold`` is
+    compared with the dim of ``op``, which is one parity sector when
+    ``scan.solve_eigenbasis`` calls.  Above it the Lanczos result stands
+    as it is.  Raises :class:`EigensolveError` on non-convergence or bad
+    residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:
@@ -160,12 +164,16 @@ def eigensolve_lowest(
     energies = np.ascontiguousarray(energies[order])
     vectors = _fix_phases(np.ascontiguousarray(vectors[:, order]))
     _verify(op.matrix, energies, vectors)
+    return EigenBasis(energies=energies, vectors=vectors)
 
+
+def warn_near_degenerate_ground(energies: np.ndarray) -> None:
+    """Log a warning when the two lowest of the ascending ``energies`` lie
+    within the degeneracy tolerance: the ground state is then not unique."""
     if len(energies) > 1 and energies[1] - energies[0] < _DEGENERACY_TOL:
         logger.warning(
             "near-degenerate ground state: e1 - e0 = %.3e", energies[1] - energies[0]
         )
-    return EigenBasis(energies=energies, vectors=vectors)
 
 
 def transition_matrix(eig: EigenBasis, x_op: SparseOperator) -> np.ndarray:

@@ -22,7 +22,7 @@ from polaron_hhg.cli import (
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import ModelParams
 from polaron_hhg.pulse import LaserParams
-from polaron_hhg.scan import ScanSpec, solve_eigenbasis
+from polaron_hhg.scan import ScanSpec, gamma_scan, run_point, solve_eigenbasis
 from polaron_hhg.spectrum import SpectrumResult
 
 # small, fast configuration: 4 retained states, modest step count
@@ -282,6 +282,33 @@ def test_run_and_levels_write_the_same_level_rows(tmp_path):
         ]
     assert len(rows["run"]) > 1
     assert rows["run"] == rows["levels"]
+
+
+def test_levels_run_and_gamma_scan_agree_bitwise_at_the_paper_point(tmp_path):
+    # every mode solves on one BLAS thread, so the same dim-4374 point gives
+    # the same bits from levels, run and a one-point serial gamma-scan
+    cfg = _write(
+        tmp_path,
+        "[propagation]\nn_steps = 4096\nrecord_stride = 64\n\n[run]\ngamma_values = -0.03\n"
+        "\n[model]\ngamma = -0.03\n",
+    )
+    rows = {}
+    for mode, name in (("levels", "levels"), ("run", "levels"), ("gamma-scan", "relevance")):
+        out = tmp_path / mode
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 0
+        table = (out / f"{name}.txt").read_text().splitlines()
+        rows[mode] = [l.split("\t") for l in table if not l.startswith("#")]
+    assert len(rows["levels"]) == 30
+    assert rows["run"] == rows["levels"]
+    # relevance rows: gamma, then the levels' harmonic order and log10 T_gs^2
+    assert [r[1:] for r in rows["gamma-scan"]] == [r[2:] for r in rows["levels"]]
+    assert {r[0] for r in rows["gamma-scan"]} == {"-0.03"}
+
+    spec = parse_config(cfg)
+    energies = solve_eigenbasis(spec).energies
+    assert np.array_equal(run_point(spec).energies, energies)
+    (point,) = gamma_scan(spec, workers=1)
+    assert np.array_equal(point.energies, energies)
 
 
 def test_writes_stay_inside_output_dir(tmp_path, monkeypatch):

@@ -150,3 +150,26 @@ def test_params_zero_couplings_allowed():
     # gamma = 0 decouples the phonons; v = w = 0 is the pinned-electron limit
     ModelParams(gamma=0.0)
     ModelParams(v=0.0, w=0.0)
+
+
+@pytest.mark.parametrize("n_cells,cutoff", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_inversion_is_a_fixed_point_free_involution(n_cells, cutoff):
+    basis = BasisIndex(_params(n_cells, cutoff))
+    inv = basis.inversion
+    idx = np.arange(basis.dim)
+    assert np.array_equal(np.sort(inv), idx)  # a permutation
+    assert np.array_equal(inv[inv], idx)
+    assert not np.any(inv == idx)
+    # so the representatives i < inv[i] are exactly half the space
+    assert 2 * np.count_nonzero(idx < inv) == basis.dim
+
+
+@pytest.mark.parametrize("n_cells,cutoff", [(1, 2), (2, 3), (3, 2)])
+def test_inversion_mirrors_site_and_reverses_occupations(n_cells, cutoff):
+    basis = BasisIndex(_params(n_cells, cutoff))
+    ns = basis.n_sites
+    for i in range(0, basis.dim, 5):
+        state = basis.decode(i)
+        image = basis.decode(int(basis.inversion[i]))
+        assert image.electron_site == ns - 1 - state.electron_site
+        assert image.phonon_occ == state.phonon_occ[::-1]

@@ -244,3 +244,17 @@ def test_row_degree_bound():
     op = build_hamiltonian(model, BasisIndex(model))
     assert op.row_degrees().max() <= 5
 
+
+@pytest.mark.parametrize("gamma", [GAMMA, 0.0], ids=["coupled", "decoupled"])
+@pytest.mark.parametrize("n_cells,cutoff", [(1, 2), (2, 3), (3, 3)])
+def test_chain_inversion_is_a_symmetry(n_cells, cutoff, gamma):
+    # Pi H Pi = H and Pi x Pi = -x entry by entry: the parity sectors of
+    # scan.solve_eigenbasis rest on both
+    model = _model(n_cells, cutoff, gamma=gamma)
+    basis = BasisIndex(model)
+    inv = basis.inversion
+    h = build_hamiltonian(model, basis).matrix
+    x = build_position(model, basis).matrix
+    assert (h[inv][:, inv] != h).nnz == 0
+    assert (x[inv][:, inv] != -x).nnz == 0
+

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from polaron_hhg import scan
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import BasisIndex, ModelParams
-from polaron_hhg.operators import build_hamiltonian
+from polaron_hhg.operators import SparseOperator, build_hamiltonian
 from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
@@ -22,6 +24,7 @@ from polaron_hhg.scan import (
     solve_eigenbasis,
     spectral_distance,
 )
+from polaron_hhg.spectral import degenerate_clusters, eigensolve_lowest, select_nr
 
 LASER = LaserParams()
 SMALL = ModelParams(n_cells=1, phonon_cutoff=1)
@@ -85,6 +88,48 @@ def test_arpack_solve_is_reproducible():
     assert a.nr == b.nr
     assert np.array_equal(a.energies, b.energies)
     assert np.array_equal(a.transition, b.transition)
+
+
+def test_sector_solve_agrees_with_full_lapack():
+    # both parity sectors (dim 162) on the ARPACK path, against LAPACK
+    # over the whole space
+    spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+    eig = solve_eigenbasis(spec)
+    basis = BasisIndex(ARPACK_MODEL)
+    dense = eigensolve_lowest(build_hamiltonian(ARPACK_MODEL, basis), basis.dim)
+    assert eig.nr == select_nr(dense.energies, LASER.omega_l, spec.max_order)
+    dense = dense.truncated(eig.nr)
+    assert np.abs(dense.energies - eig.energies).max() <= 1e-8
+    # subspaces match: cross-gram is unitary block-diagonal over clusters
+    gram = np.abs(dense.vectors.T @ eig.vectors)
+    for cluster in degenerate_clusters(dense.energies):
+        block = gram[np.ix_(cluster, cluster)]
+        assert np.allclose(block @ block.T, np.eye(len(cluster)), atol=1e-7)
+    # every kept state is even or odd, and x couples only opposite parities
+    parity = np.einsum("im,im->m", eig.vectors[basis.inversion], eig.vectors)
+    assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+    assert {1.0, -1.0} <= set(np.sign(parity))
+    same = np.sign(parity)[:, None] == np.sign(parity)[None, :]
+    assert np.abs(eig.transition[same]).max() <= 1e-13
+
+
+def test_ground_state_is_taken_from_either_sector(monkeypatch):
+    # H + delta Pi still commutes with inversion, and it lowers every odd
+    # level by 2 delta against the even ones: here far enough that the
+    # ground state is odd
+    basis = BasisIndex(ARPACK_MODEL)
+    dim = basis.dim
+    flip = scipy.sparse.csr_matrix((np.ones(dim), basis.inversion, np.arange(dim + 1)))
+    h = build_hamiltonian(ARPACK_MODEL, basis).matrix + 0.03 * flip
+    shifted = SparseOperator(dim=dim, matrix=h.tocsr())
+    monkeypatch.setattr(scan, "build_hamiltonian", lambda model, basis: shifted)
+    spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+    eig = solve_eigenbasis(spec)
+    exact = np.linalg.eigvalsh(shifted.to_dense())
+    assert eig.nr == select_nr(exact, LASER.omega_l, spec.max_order)
+    assert np.abs(eig.energies - exact[: eig.nr]).max() <= 1e-8
+    ground = eig.vectors[:, 0]
+    assert np.allclose(ground[basis.inversion], -ground, atol=1e-12)
 
 
 def test_arpack_gamma_scan_worker_count_invariance():
@@ -216,6 +261,29 @@ def test_settings_refuse_non_finite_values(cls, key, bad):
     value = (-0.01, bad) if key == "gamma_values" else bad
     with pytest.raises(ValueError, match=rf"^{key}\b"):
         cls(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "cls,key,value",
+    [
+        (ModelParams, "n_cells", 1.5),
+        (ModelParams, "n_cells", True),
+        (ModelParams, "phonon_cutoff", 3.0),
+        (ScanSpec, "nr_override", 2.5),
+        (ScanSpec, "nr_override", True),
+        (ScanSpec, "l_values", (1.5, 1.7)),
+        (ScanSpec, "l_values", (1, 3.0)),
+    ],
+    ids=str,
+)
+def test_settings_refuse_non_integer_counts(cls, key, value):
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        cls(**{key: value})
+
+
+def test_settings_take_numpy_integer_counts():
+    ModelParams(n_cells=np.int64(1), phonon_cutoff=np.int32(2))
+    ScanSpec(nr_override=np.int64(3), l_values=tuple(np.arange(1, 3)))
 
 
 @pytest.mark.parametrize(
