@@ -21,6 +21,9 @@ written as ``f"{x:.15g}"`` would write it, so integer columns read as
 integers.  Rows are formatted 512 at a time, one ``%``-format per chunk.
 Only ``failures.txt`` has text rows: a failed point's label and message.
 The library modules return arrays; this module alone knows the format.
+Each mode returns its tables, ``(name, notes, columns)``, and its failed
+points; :func:`main` alone adds the header, writes and lists each table,
+writes gamma-scan's ``failures.txt`` and reports every failed point.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import PropagationConfig
-from .hilbert import BasisIndex, ModelParams
+from .hilbert import BasisIndex, ModelParams, is_integer
 from .pulse import LaserParams, electric_field
 from .scan import (
     CONVERGENCE_WINDOW,
@@ -51,8 +54,6 @@ from .scan import (
     solve_eigenbasis,
 )
 from .spectral import state_relevance
-
-MODES = ("levels", "run", "gamma-scan", "converge", "correlate")
 
 # highest harmonic order written to the spectrum, heatmap and relevance tables
 _EXPORT_MAX_ORDER = 50.0
@@ -78,8 +79,15 @@ class RunConfig(ScanSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.correlate_states == ():
-            raise ValueError("correlate_states is empty; write auto for the default states")
+        states = self.correlate_states
+        if states is not None and not (
+            states
+            and len(set(states)) == len(states)
+            and all(is_integer(m) and m >= 0 for m in states)
+        ):
+            raise ValueError(
+                f"correlate_states must be auto or distinct integers >= 0, got {states}"
+            )
 
 
 # INI section -> the dataclass whose fields are its keys; the first three
@@ -187,10 +195,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _header(cfg_hash: str, mode: str) -> list[str]:
-    return [f"polaron-hhg {__version__}", f"config {cfg_hash}", f"mode {mode}"]
-
-
 def _write_table(fh, comment_lines, columns) -> None:
     """Write ``comment_lines`` as ``# `` lines, then the equal-length 1-D
     ``columns`` as rows in the module's table format (none if empty)."""
@@ -204,25 +208,34 @@ def _write_table(fh, comment_lines, columns) -> None:
         fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _write_levels(path, header, energies, relevance) -> None:
+def _levels_table(energies, relevance) -> tuple:
     """Level table: index, energy and the :func:`state_relevance` columns."""
-    with open(path, "w") as fh:
-        _write_table(
-            fh,
-            header + ["index\tenergy\tharmonic_order\tlog10_Tgs2"],
-            [np.arange(len(energies)), energies, relevance[:, 0], relevance[:, 1]],
-        )
+    return (
+        "levels.txt",
+        ["index\tenergy\tharmonic_order\tlog10_Tgs2"],
+        [np.arange(len(energies)), energies, relevance[:, 0], relevance[:, 1]],
+    )
 
 
-def _spectrum_columns(spectrum) -> list:
+def _spectrum_table(name: str, spectrum, notes=()) -> tuple:
     """Harmonic orders up to the export cap, and Y_N there."""
     sel = spectrum.orders <= _EXPORT_MAX_ORDER
-    return [spectrum.orders[sel], spectrum.yield_norm[sel]]
+    return (
+        name,
+        [*notes, "harmonic_order\tyield_norm"],
+        [spectrum.orders[sel], spectrum.yield_norm[sel]],
+    )
 
 
-def _write_spectrum(path, header, spectrum) -> None:
-    with open(path, "w") as fh:
-        _write_table(fh, header + ["harmonic_order\tyield_norm"], _spectrum_columns(spectrum))
+def _gamma_block(gamma: float, orders, values) -> list:
+    """One scan point's rows up to the export cap: gamma, order, value."""
+    keep = orders <= _EXPORT_MAX_ORDER
+    return [np.full(np.count_nonzero(keep), gamma), orders[keep], values[keep]]
+
+
+def _stacked(blocks) -> list:
+    """Blocks of equally many columns laid end to end; no columns if no blocks."""
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _auto_correlate_states(eig, omega_l: float) -> list[int]:
@@ -233,104 +246,60 @@ def _auto_correlate_states(eig, omega_l: float) -> list[int]:
     return [0] + sorted(m for _, m in excited[:3])
 
 
-def _mode_levels(cfg, outdir, cfg_hash, manifest, workers):
+def _mode_levels(cfg, workers):
     eig = solve_eigenbasis(cfg)
-    relevance = state_relevance(eig, cfg.laser.omega_l)
-    _write_levels(outdir / "levels.txt", _header(cfg_hash, "levels"), eig.energies, relevance)
-    manifest.append("levels.txt")
-    return 0
+    return [_levels_table(eig.energies, state_relevance(eig, cfg.laser.omega_l))], []
 
 
-def _mode_run(cfg, outdir, cfg_hash, manifest, workers):
+def _mode_run(cfg, workers):
     result = run_point(cfg)
-    header = _header(cfg_hash, "run")
     ts = result.timeseries
-    _write_levels(outdir / "levels.txt", header, result.energies, result.relevance)
-    manifest.append("levels.txt")
     ns = ts.electron_density.shape[1]
     names = ["t", "E", "dipole", "norm"]
     names += [f"n_e_{r}" for r in range(ns)] + [f"n_ph_{r}" for r in range(ns)]
-    with open(outdir / "timeseries.txt", "w") as fh:
-        _write_table(
-            fh,
-            header + ["\t".join(names)],
-            [
-                ts.times,
-                electric_field(ts.times, cfg.laser),
-                ts.dipole,
-                ts.amplitudes_norm,
-                *ts.electron_density.T,
-                *ts.phonon_density.T,
-            ],
-        )
-    manifest.append("timeseries.txt")
-    _write_spectrum(outdir / "spectrum.txt", header, result.spectrum)
-    manifest.append("spectrum.txt")
-    return 0
+    columns = [ts.times, electric_field(ts.times, cfg.laser), ts.dipole, ts.amplitudes_norm]
+    columns += [*ts.electron_density.T, *ts.phonon_density.T]
+    return [
+        _levels_table(result.energies, result.relevance),
+        ("timeseries.txt", ["\t".join(names)], columns),
+        _spectrum_table("spectrum.txt", result.spectrum),
+    ], []
 
 
-def _mode_gamma_scan(cfg, outdir, cfg_hash, manifest, workers):
+def _mode_gamma_scan(cfg, workers):
     results = gamma_scan(cfg, workers=workers)
-    header = _header(cfg_hash, "gamma-scan")
     # long format: one block of rows per point, failed points skipped
-    points = [(g, r) for g, r in zip(cfg.gamma_values, results) if isinstance(r, PointResult)]
-    with open(outdir / "heatmap.txt", "w") as fh:
-        _write_table(fh, header + ["gamma\tharmonic_order\tyield_norm"], [])
-        for g, res in points:
-            orders, y = _spectrum_columns(res.spectrum)
-            _write_table(fh, [], [np.full(len(orders), g), orders, y])
-    manifest.append("heatmap.txt")
-    with open(outdir / "relevance.txt", "w") as fh:
-        _write_table(fh, header + ["gamma\tharmonic_order\tlog10_Tgs2"], [])
-        for g, res in points:
-            rel = res.relevance
-            rel = rel[rel[:, 0] <= _EXPORT_MAX_ORDER]
-            _write_table(fh, [], [np.full(len(rel), g), rel[:, 0], rel[:, 1]])
-    manifest.append("relevance.txt")
-    failures = [r for r in results if isinstance(r, PointFailure)]
-    if failures:
-        with open(outdir / "failures.txt", "w") as fh:
-            _write_table(fh, header, [])
-            for f in failures:
-                fh.write(f"{f.label}\t{f.message}\n")
-        manifest.append("failures.txt")
-        for f in failures:
-            print(f"gamma-scan point failed: {f.label}: {f.message}", file=sys.stderr)
-        return 1
-    return 0
+    spectra, levels = [], []
+    for g, res in zip(cfg.gamma_values, results):
+        if isinstance(res, PointResult):
+            spectra.append(_gamma_block(g, res.spectrum.orders, res.spectrum.yield_norm))
+            levels.append(_gamma_block(g, res.relevance[:, 0], res.relevance[:, 1]))
+    return [
+        ("heatmap.txt", ["gamma\tharmonic_order\tyield_norm"], _stacked(spectra)),
+        ("relevance.txt", ["gamma\tharmonic_order\tlog10_Tgs2"], _stacked(levels)),
+    ], [r for r in results if isinstance(r, PointFailure)]
 
 
-def _mode_converge(cfg, outdir, cfg_hash, manifest, workers):
+def _mode_converge(cfg, workers):
     report = convergence_study(cfg)
-    header = _header(cfg_hash, "converge")
-    failed = [isinstance(p, PointFailure) for p in report.points]
+    failures = [p for p in report.points if isinstance(p, PointFailure)]
     lo, hi = CONVERGENCE_WINDOW
-    with open(outdir / "convergence.txt", "w") as fh:
-        _write_table(
-            fh,
-            header + [f"comparison window: orders [{lo:g}, {hi:g}]"]
-            + ["L\teps_gs\tnr\tmax_abs_diff_to_next"],
-            [
-                report.l_values,
-                report.eps_gs,
-                [-1 if bad else p.nr for p, bad in zip(report.points, failed)],
-                report.spectral_diffs + (float("nan"),),
-            ],
-        )
-        notes = [f"FAILED {p.label}: {p.message}" for p, bad in zip(report.points, failed) if bad]
-        _write_table(fh, notes, [])
-    manifest.append("convergence.txt")
-    for l, point, bad in zip(report.l_values, report.points, failed):
-        if bad:
-            print(f"converge point failed: {point.label}: {point.message}", file=sys.stderr)
-            continue
-        name = f"spectrum_L{l}.txt"
-        _write_spectrum(outdir / name, header + [f"L {l}"], point.spectrum)
-        manifest.append(name)
-    return 1 if any(failed) else 0
+    notes = [f"comparison window: orders [{lo:g}, {hi:g}]"]
+    notes += [f"FAILED {p.label}: {p.message}" for p in failures]
+    columns = [
+        report.l_values,
+        report.eps_gs,
+        [-1 if isinstance(p, PointFailure) else p.nr for p in report.points],
+        report.spectral_diffs + (float("nan"),),
+    ]
+    tables = [("convergence.txt", notes + ["L\teps_gs\tnr\tmax_abs_diff_to_next"], columns)]
+    for l, point in zip(report.l_values, report.points):
+        if isinstance(point, PointResult):
+            tables.append(_spectrum_table(f"spectrum_L{l}.txt", point.spectrum, [f"L {l}"]))
+    return tables, failures
 
 
-def _mode_correlate(cfg, outdir, cfg_hash, manifest, workers):
+def _mode_correlate(cfg, workers):
     basis = BasisIndex(cfg.model)
     eig = solve_eigenbasis(cfg)
     states = (
@@ -338,22 +307,13 @@ def _mode_correlate(cfg, outdir, cfg_hash, manifest, workers):
         if cfg.correlate_states is not None
         else _auto_correlate_states(eig, cfg.laser.omega_l)
     )
-    header = _header(cfg_hash, "correlate")
+    tables = []
     for m in states:
-        grid = correlation_map(eig, basis, m)
-        name = f"correlation_state{m}.txt"
-        with open(outdir / name, "w") as fh:
-            _write_table(
-                fh,
-                header
-                + [
-                    f"state {m}, energy {eig.energies[m]:.15g}",
-                    "rows: phonon site f; columns: electron site r",
-                ],
-                list(grid.T),
-            )
-        manifest.append(name)
-    return 0
+        grid = correlation_map(eig, basis, m)  # refuses a state outside the kept ones
+        notes = [f"state {m}, energy {eig.energies[m]:.15g}"]
+        notes.append("rows: phonon site f; columns: electron site r")
+        tables.append((f"correlation_state{m}.txt", notes, list(grid.T)))
+    return tables, []
 
 
 _MODE_FUNCS = {
@@ -363,12 +323,7 @@ _MODE_FUNCS = {
     "converge": _mode_converge,
     "correlate": _mode_correlate,
 }
-
-
-def _write_manifest(outdir: Path, manifest: list[str]) -> None:
-    with open(outdir / "manifest.txt", "w") as fh:
-        for name in manifest:
-            fh.write(name + "\n")
+MODES = tuple(_MODE_FUNCS)
 
 
 def _parse_args(argv):
@@ -406,17 +361,29 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     resolved = resolved_config_text(cfg)
     cfg_hash = hashlib.sha256(resolved.encode()).hexdigest()[:12]
+    header = [f"polaron-hhg {__version__}", f"config {cfg_hash}", f"mode {args.mode}"]
     (outdir / "resolved.ini").write_text(resolved)
     manifest = ["resolved.ini"]
-
     try:
-        status = _MODE_FUNCS[args.mode](cfg, outdir, cfg_hash, manifest, args.workers)
+        tables, failures = _MODE_FUNCS[args.mode](cfg, args.workers)
+        for name, notes, columns in tables:
+            with open(outdir / name, "w") as fh:
+                _write_table(fh, header + notes, columns)
+            manifest.append(name)
+        # converge notes its failed cutoffs in convergence.txt instead
+        if failures and args.mode == "gamma-scan":
+            with open(outdir / "failures.txt", "w") as fh:
+                _write_table(fh, header, [])
+                fh.writelines(f"{f.label}\t{f.message}\n" for f in failures)
+            manifest.append("failures.txt")
     except Exception as exc:
-        _write_manifest(outdir, manifest)
         print(f"{args.mode} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(outdir, manifest)
-    return status
+    finally:
+        (outdir / "manifest.txt").write_text("".join(name + "\n" for name in manifest))
+    for f in failures:
+        print(f"{args.mode} point failed: {f.label}: {f.message}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def entrypoint() -> None:

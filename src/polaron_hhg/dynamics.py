@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import BasisIndex
+from .hilbert import BasisIndex, is_integer
 from .pulse import LaserParams, electric_field
 from .spectral import EigenBasis
 
@@ -67,10 +67,10 @@ class PropagationConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.n_steps < 4:
-            raise ValueError(f"n_steps must be >= 4, got {self.n_steps}")
-        if self.record_stride < 1:
-            raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
+        if not is_integer(self.n_steps) or self.n_steps < 4:
+            raise ValueError(f"n_steps must be an integer >= 4, got {self.n_steps!r}")
+        if not is_integer(self.record_stride) or self.record_stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         if self.n_steps % self.record_stride:
             raise ValueError(
                 f"record_stride {self.record_stride} must divide n_steps {self.n_steps}"

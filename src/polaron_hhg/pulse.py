@@ -6,11 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import is_integer
+
 
 @dataclass(frozen=True)
 class LaserParams:
     """Vector-potential amplitude (finite), carrier frequency (finite, > 0)
-    and cycle count (>= 1), in atomic units."""
+    and cycle count (an integer >= 1), in atomic units."""
 
     a0: float = 0.183
     omega_l: float = 0.002
@@ -21,8 +23,8 @@ class LaserParams:
             raise ValueError(f"a0 must be finite, got {self.a0}")
         if not 0 < self.omega_l < np.inf:
             raise ValueError(f"omega_l must be finite and > 0, got {self.omega_l}")
-        if self.n_cyc < 1:
-            raise ValueError(f"n_cyc must be >= 1, got {self.n_cyc}")
+        if not is_integer(self.n_cyc) or self.n_cyc < 1:
+            raise ValueError(f"n_cyc must be an integer >= 1, got {self.n_cyc!r}")
 
     def t_final(self) -> float:
         return 2.0 * np.pi * self.n_cyc / self.omega_l

@@ -67,6 +67,7 @@ class ScanSpec:
 
     A ValueError naming the field is raised unless ``nr_override`` is
     None or an integer >= 1, ``max_order`` is finite and >= 0,
+    ``dense_threshold`` is an integer >= 0,
     ``gamma_values`` holds one or more distinct finite couplings <= 0, and
     ``l_values`` one or more strictly ascending integer cutoffs >= 1; so
     every scan point is valid.
@@ -90,6 +91,10 @@ class ScanSpec:
             raise ValueError(f"nr_override must be an integer >= 1, got {self.nr_override!r}")
         if not 0 <= self.max_order < np.inf:
             raise ValueError(f"max_order must be finite and >= 0, got {self.max_order}")
+        if not is_integer(self.dense_threshold) or self.dense_threshold < 0:
+            raise ValueError(
+                f"dense_threshold must be an integer >= 0, got {self.dense_threshold!r}"
+            )
         gammas, cutoffs = self.gamma_values, self.l_values
         if len(gammas) == 0 or not all(-np.inf < g <= 0 for g in gammas):
             raise ValueError(f"gamma_values must be one or more finite values <= 0, got {gammas}")
@@ -204,8 +209,9 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     nearly the whole sector or, up to ``spec.dense_threshold`` sector
     states, holds a degenerate level; then LAPACK does.  The merged
     energies choose ``nr``, and only the kept vectors are lifted back to
-    the site basis.  Every BLAS call runs on one thread, so each mode
-    gives the same bits for the same point.
+    the site basis.  x flips the parity, so T between two states of the
+    same sector is set to its exact value, 0.  Every BLAS call runs on
+    one thread, so each mode gives the same bits for the same point.
     """
     with _one_blas_thread():
         omega_l, nr_override = spec.laser.omega_l, spec.nr_override
@@ -244,7 +250,11 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
             vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
             start += e.nr
         eig = EigenBasis(energies=energies[:nr], vectors=_fix_phases(vectors))
-        return with_transition(eig, x)
+        eig = with_transition(eig, x)
+        # H keeps the parity and x flips it: same-parity entries are exactly 0
+        even = kept < eigs[0].nr
+        eig.transition[even[:, None] == even] = 0.0
+        return eig
 
 
 def run_point(spec: ScanSpec) -> PointResult:
@@ -286,6 +296,8 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     gammas = [float(g) for g in spec.gamma_values]
     specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
     labels = [f"gamma={g:.15g}" for g in gammas]
+    # no more workers than points: a fork-started pool forks them all at its first submit
+    workers = min(workers, len(specs))
     if workers <= 1:
         return list(map(_try_point, specs, labels))
     with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:

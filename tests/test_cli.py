@@ -2,9 +2,13 @@
 
 import configparser
 import io
+import os
 import shutil
 import subprocess
+import sys
+import tomllib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from polaron_hhg.cli import (
     _WRITE_ROWS,
     ConfigError,
     RunConfig,
-    _write_spectrum,
+    _spectrum_table,
     _write_table,
     main,
     parse_config,
@@ -93,6 +97,12 @@ def test_missing_file_rejected():
         ("[model]\nv = -inf\n", r"\[model\] v\b"),
         ("[run]\ngamma_values = -0.01, nan\n", "gamma_values"),
         ("[run]\ncorrelate_states = ,\n", "correlate_states"),
+        ("[run]\ncorrelate_states = 1, 1\n", "correlate_states"),
+        ("[run]\ncorrelate_states = -1\n", "correlate_states"),
+        ("[run]\ndense_threshold = nan\n", "dense_threshold"),
+        ("[run]\ndense_threshold = -3\n", "dense_threshold"),
+        ("[laser]\nn_cyc = 2.5\n", r"\[laser\] n_cyc\b"),
+        ("[propagation]\nn_steps = 1024.0\n", r"\[propagation\] n_steps\b"),
         # a [DEFAULT] section would spread its keys into every section
         ("[DEFAULT]\nv = -0.05\n\n[model]\nw = -0.1\n", "DEFAULT"),
         ("[DEFAULT]\nv = -0.05\n\n[run]\nmax_order = 20\n", "DEFAULT"),
@@ -220,12 +230,30 @@ def test_spectrum_table_capped_at_order_50(tmp_path):
         yield_norm=-orders,
         fundamental_index=1,
     )
-    _write_spectrum(tmp_path / "spectrum.txt", ["demo"], res)
-    lines = (tmp_path / "spectrum.txt").read_text().splitlines()
+    name, notes, columns = _spectrum_table("spectrum.txt", res, ["demo"])
+    assert name == "spectrum.txt"
+    buf = io.StringIO()
+    _write_table(buf, notes, columns)
+    lines = buf.getvalue().splitlines()
     assert lines[:2] == ["# demo", "# harmonic_order\tyield_norm"]
     data = [l.split("\t") for l in lines if not l.startswith("#")]
     assert [row[0] for row in data] == ["0", "1", "50"]  # orders above 50 capped away
     assert data[1][1] == "-1"
+
+
+def test_levels_mode_writes_an_exactly_dark_ground_state(tmp_path):
+    # x flips the chain-inversion parity, so T_00 is exactly 0; dim 324
+    # with the threshold lowered puts both sectors on the ARPACK path
+    cfg = _write(
+        tmp_path,
+        "[model]\nn_cells = 2\nphonon_cutoff = 3\n\n[run]\nmax_order = 20\ndense_threshold = 100\n",
+    )
+    out = tmp_path / "out"
+    assert main(["levels", "--config", cfg, "--out", str(out)]) == 0
+    rows = [l.split("\t") for l in (out / "levels.txt").read_text().splitlines() if l[0] != "#"]
+    assert rows[0][::2] == ["0", "0"]
+    assert rows[0][3] == "-inf"
+    assert any(r[3] not in ("-inf", "inf", "nan") for r in rows[1:])
 
 
 def test_levels_mode_lists_all_six_phononless_states(tmp_path):
@@ -402,6 +430,10 @@ def test_converge_failures_reported_per_cutoff(tmp_path, capsys):
     ]
     failed = [l for l in lines if l.startswith("# FAILED")]
     assert [l.split(":")[0] for l in failed] == ["# FAILED L=1", "# FAILED L=2"]
+    # notes come above the column names, as in every table
+    comments = [l for l in lines if l.startswith("#")]
+    assert comments[-1] == "# L\teps_gs\tnr\tmax_abs_diff_to_next"
+    assert comments[-3:-1] == failed
     assert all("stability guard" in l for l in failed)
     assert (out / "manifest.txt").read_text().split() == ["resolved.ini", "convergence.txt"]
     assert capsys.readouterr().err.count("converge point failed") == 2
@@ -413,6 +445,35 @@ def test_run_failure_still_writes_manifest(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
     assert "stability guard" in capsys.readouterr().err
+
+
+# small grids for the scan modes; FAILING trips the stability guard at every point
+GRIDS = "gamma_values = -0.01, 0\nl_values = 1, 2\n"
+FAILING = TINY.replace("n_steps = 16384", "n_steps = 512")
+
+
+@pytest.mark.parametrize(
+    "mode,text,status",
+    [
+        ("levels", TINY, 0),
+        ("run", TINY, 0),
+        ("gamma-scan", TINY, 0),
+        ("converge", TINY, 0),
+        ("correlate", TINY, 0),
+        ("run", FAILING, 1),
+        ("gamma-scan", FAILING, 1),
+        ("converge", FAILING, 1),
+    ],
+)
+def test_manifest_lists_every_artifact_once(tmp_path, mode, text, status):
+    out = tmp_path / "out"
+    assert main([mode, "--config", _write(tmp_path, text + GRIDS), "--out", str(out)]) == status
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert manifest[0] == "resolved.ini"
+    assert len(set(manifest)) == len(manifest)
+    assert set(manifest) == {p.name for p in out.iterdir()} - {"manifest.txt"}
+    # a failed run stops before its first table; every other case writes some
+    assert len(manifest) > 1 or (mode, status) == ("run", 1)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -428,6 +489,30 @@ def test_bad_workers_rejected(tmp_path):
 def test_unknown_mode_rejected():
     with pytest.raises(SystemExit):
         main(["render"])
+
+
+def test_console_script_target_runs_levels(tmp_path):
+    # calls the [project.scripts] target as the installed polaron-hhg script
+    # would, so renaming it fails here even where the package is not installed
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, func = scripts["polaron-hhg"].split(":")
+    cfg = _write(tmp_path, "[model]\nphonon_cutoff = 1\n\n[run]\nnr_override = 6\n")
+    out = tmp_path / "exe"
+    code = (
+        f"import sys; from {module} import {func}; "
+        f"sys.argv = ['polaron-hhg', 'levels', '--config', {cfg!r}, '--out', {str(out)!r}]; "
+        f"{func}()"
+    )
+    src = str(pyproject.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "levels.txt").is_file()
 
 
 @pytest.mark.skipif(

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse
 
 from polaron_hhg import scan
+from polaron_hhg.cli import RunConfig
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import BasisIndex, ModelParams
 from polaron_hhg.operators import SparseOperator, build_hamiltonian
@@ -110,7 +111,8 @@ def test_sector_solve_agrees_with_full_lapack():
     assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
     assert {1.0, -1.0} <= set(np.sign(parity))
     same = np.sign(parity)[:, None] == np.sign(parity)[None, :]
-    assert np.abs(eig.transition[same]).max() <= 1e-13
+    assert np.all(eig.transition[same] == 0.0)
+    assert np.all(eig.transition[~same] != 0.0)
 
 
 def test_ground_state_is_taken_from_either_sector(monkeypatch):
@@ -213,6 +215,36 @@ def test_gamma_scan_records_failures_and_continues():
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
 
 
+def test_scan_pool_is_capped_at_the_point_count(monkeypatch):
+    # a pool started by fork forks every worker at its first submit, so
+    # the pool must not be asked for more workers than there are points
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    two = replace(SMALL_SPEC, gamma_values=(-0.02, -0.01))
+    assert all(isinstance(p, PointResult) for p in gamma_scan(two, workers=64))
+    assert sizes == [2]
+    # one point takes the serial path, with the serial path's bits
+    one = replace(SMALL_SPEC, gamma_values=(-0.01,))
+    (wide,) = gamma_scan(one, workers=64)
+    (serial,) = gamma_scan(one, workers=1)
+    assert sizes == [2]
+    assert np.array_equal(wide.spectrum.yield_norm, serial.spectrum.yield_norm)
+
+
 def test_gamma_scan_worker_count_invariance():
     spec = ScanSpec(
         model=SMALL, laser=LASER, propagation=CFG15, gamma_values=(-0.02, -0.01, 0.0)
@@ -273,6 +305,16 @@ def test_settings_refuse_non_finite_values(cls, key, bad):
         (ScanSpec, "nr_override", True),
         (ScanSpec, "l_values", (1.5, 1.7)),
         (ScanSpec, "l_values", (1, 3.0)),
+        (LaserParams, "n_cyc", 2.5),
+        (LaserParams, "n_cyc", True),
+        (PropagationConfig, "n_steps", 1024.0),
+        (PropagationConfig, "record_stride", True),
+        (ScanSpec, "dense_threshold", float("nan")),
+        (ScanSpec, "dense_threshold", 2.5),
+        (ScanSpec, "dense_threshold", -3),
+        (RunConfig, "correlate_states", (0, 1.5)),
+        (RunConfig, "correlate_states", (1, 1)),
+        (RunConfig, "correlate_states", (-1,)),
     ],
     ids=str,
 )
@@ -284,6 +326,9 @@ def test_settings_refuse_non_integer_counts(cls, key, value):
 def test_settings_take_numpy_integer_counts():
     ModelParams(n_cells=np.int64(1), phonon_cutoff=np.int32(2))
     ScanSpec(nr_override=np.int64(3), l_values=tuple(np.arange(1, 3)))
+    LaserParams(n_cyc=np.int64(4))
+    PropagationConfig(n_steps=np.int64(1024), record_stride=np.int32(8))
+    RunConfig(dense_threshold=np.int64(0), correlate_states=(np.int64(0), 3))
 
 
 @pytest.mark.parametrize(
