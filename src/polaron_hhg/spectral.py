@@ -2,17 +2,24 @@
 
 Eigenpairs come from ARPACK's implicitly restarted Lanczos (Lehoucq,
 Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), started from one
-fixed generic vector so that every call gives the same bits.  The
-pipeline hands in one chain-inversion parity sector at a time (see
+fixed generic vector so that every call gives the same bits, with a
+search space of ``count + 40`` Lanczos vectors (see :func:`lanczos_ncv`).
+The pipeline hands in one chain-inversion parity sector at a time (see
 ``scan.solve_eigenbasis``), so no start vector has to reach both the
-even and the odd states.  LAPACK (dense, lowest-``count`` subset) stands
-in only where ARPACK cannot give the answer: when ``count >= dim - 1``,
-which ARPACK does not accept, and, up to ``dense_threshold`` states of
-the operator handed in, when the Lanczos result holds a degenerate
-cluster, because single-vector Lanczos finds only some copies of an
-exactly degenerate level.  Both paths return ascending energies,
+even and the odd states.  Single-vector Lanczos finds the extra copies
+of an exactly degenerate level only through rounding; the one regime
+where the pipeline meets such levels, the decoupled point gamma = 0, is
+built exactly in ``scan`` and never reaches this module's solver.
+
+LAPACK (dense, lowest-``count`` subset) stands in where ARPACK cannot
+run, ``count >= dim - 1``, and, up to ``dense_threshold`` states of the
+operator handed in, when the Lanczos result holds a degenerate cluster.
+No point of the default coupling grids at N=3, L=3 or 4 reaches that
+second stand-in any more: there no sector at gamma != 0 holds a cluster
+within 1e-9, and gamma = 0 is exact.  It stays until a benchmark
+change, because the benchmark's smoke workload sets ``dense_threshold``.  Every path returns ascending energies,
 orthonormal vectors with a fixed sign convention, and verified
-residuals.
+residuals (:func:`verified_basis`).
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ logger = logging.getLogger(__name__)
 
 # largest dim at which LAPACK may stand in for ARPACK on a degenerate result
 DENSE_THRESHOLD_DEFAULT = 5000
+
+# Lanczos vectors beyond the wanted pairs: with scipy's default of
+# 2 count + 1 (49 at 24 pairs) a sector solve near gamma = 0 restarts so
+# often that it takes 3-6 times longer
+_NCV_SLACK = 40
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-10
@@ -88,6 +100,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def lanczos_ncv(dim: int, count: int) -> int:
+    """Size of the Lanczos search space for ``count`` pairs of a ``dim``-state operator."""
+    return min(dim, count + _NCV_SLACK)
+
+
 def _verify(h, energies: np.ndarray, vectors: np.ndarray) -> None:
     resid = h @ vectors - vectors * energies
     norms = np.linalg.norm(resid, axis=0)
@@ -115,7 +132,13 @@ def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
     try:
         return scipy.sparse.linalg.eigsh(
-            op.matrix, k=count, which="SA", tol=1e-10, maxiter=max_iterations, v0=v0
+            op.matrix,
+            k=count,
+            which="SA",
+            tol=1e-10,
+            ncv=lanczos_ncv(op.dim, count),
+            maxiter=max_iterations,
+            v0=v0,
         )
     except ArpackNoConvergence as exc:
         res = None
@@ -137,7 +160,8 @@ def eigensolve_lowest(
 ) -> EigenBasis:
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
-    ARPACK Lanczos from a fixed start vector wherever it can run
+    ARPACK Lanczos from a fixed start vector, in a search space of
+    :func:`lanczos_ncv` vectors, wherever it can run
     (``count < dim - 1``).  LAPACK takes over where ARPACK cannot give
     the answer: for ``count >= dim - 1``, and, when ``dim <=
     dense_threshold``, for a Lanczos result holding a degenerate cluster,
@@ -159,7 +183,13 @@ def eigensolve_lowest(
             len(c) > 1 for c in degenerate_clusters(np.sort(energies))
         ):
             energies, vectors = _lapack_lowest(op, count)
+    return verified_basis(op, energies, vectors)
 
+
+def verified_basis(op: SparseOperator, energies: np.ndarray, vectors: np.ndarray) -> EigenBasis:
+    """Eigenpairs of ``op`` sorted ascending (stable), phase-fixed, and
+    checked: residuals within 1e-8 of max(1, |E|) and orthonormality
+    within 1e-10, else :class:`EigensolveError`."""
     order = np.argsort(energies, kind="stable")
     energies = np.ascontiguousarray(energies[order])
     vectors = _fix_phases(np.ascontiguousarray(vectors[:, order]))
@@ -208,7 +238,11 @@ def select_nr(
     """Smallest state count whose top energy reaches ``max_order``.
 
     Clamps to the number of available energies; an explicit ``override``
-    wins (also clamped).
+    wins (also clamped).  The cut may still fall inside a degenerate
+    cluster, keeping only some of its copies: at gamma = 0 the top kept
+    state can be one of several dark phonon copies of a level, and the
+    order in which ``scan`` builds the decoupled states, not a solver's
+    gauge, fixes which copy that is.
     """
     n = len(energies)
     if n == 0:

@@ -1,5 +1,6 @@
 """Pipeline composition: determinism, decoupled limits, scan drivers, maps."""
 
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from polaron_hhg import scan
 from polaron_hhg.cli import RunConfig
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import BasisIndex, ModelParams
-from polaron_hhg.operators import SparseOperator, build_hamiltonian
+from polaron_hhg.operators import SparseOperator, build_hamiltonian, build_position
 from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
@@ -76,8 +77,9 @@ def test_decoupled_phonons_are_spectators():
     assert np.abs(eig.gs_transition[dark]).max() <= 1e-12
 
 
-# dim 324 above this threshold: every solve below runs ARPACK, and a
-# degenerate result is not handed to LAPACK
+# dim 324 above this threshold: every solve below at gamma != 0 runs
+# ARPACK (gamma = 0 is built exactly), and a degenerate result is not
+# handed to LAPACK
 ARPACK_MODEL = ModelParams(n_cells=2, phonon_cutoff=3)
 ARPACK_THRESHOLD = 100
 
@@ -91,18 +93,21 @@ def test_arpack_solve_is_reproducible():
     assert np.array_equal(a.transition, b.transition)
 
 
-def test_sector_solve_agrees_with_full_lapack():
+@pytest.mark.parametrize("gamma", [-0.025, -0.002, 0.0])
+def test_sector_solve_agrees_with_full_lapack(gamma):
     # both parity sectors (dim 162) on the ARPACK path, against LAPACK
-    # over the whole space
-    spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+    # over the whole space; at -0.002 levels of one sector lie 6e-7 apart,
+    # and 0 takes the exact decoupled construction
+    model = replace(ARPACK_MODEL, gamma=gamma)
+    spec = ScanSpec(model=model, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
     eig = solve_eigenbasis(spec)
-    basis = BasisIndex(ARPACK_MODEL)
-    dense = eigensolve_lowest(build_hamiltonian(ARPACK_MODEL, basis), basis.dim)
+    basis = BasisIndex(model)
+    dense = eigensolve_lowest(build_hamiltonian(model, basis), basis.dim)
     assert eig.nr == select_nr(dense.energies, LASER.omega_l, spec.max_order)
     dense = dense.truncated(eig.nr)
     assert np.abs(dense.energies - eig.energies).max() <= 1e-8
     # subspaces match: cross-gram is unitary block-diagonal over clusters
-    gram = np.abs(dense.vectors.T @ eig.vectors)
+    gram = dense.vectors.T @ eig.vectors
     for cluster in degenerate_clusters(dense.energies):
         block = gram[np.ix_(cluster, cluster)]
         assert np.allclose(block @ block.T, np.eye(len(cluster)), atol=1e-7)
@@ -112,7 +117,12 @@ def test_sector_solve_agrees_with_full_lapack():
     assert {1.0, -1.0} <= set(np.sign(parity))
     same = np.sign(parity)[:, None] == np.sign(parity)[None, :]
     assert np.all(eig.transition[same] == 0.0)
-    assert np.all(eig.transition[~same] != 0.0)
+    x = build_position(model, basis).matrix
+    assert np.array_equal(eig.transition[~same], (eig.vectors.T @ (x @ eig.vectors))[~same])
+    if gamma != 0:
+        # at gamma = 0 x keeps the phonon configuration, so most
+        # opposite-parity pairs are exactly dark too
+        assert np.all(eig.transition[~same] != 0.0)
 
 
 def test_ground_state_is_taken_from_either_sector(monkeypatch):
@@ -177,11 +187,13 @@ def test_serial_scan_restores_blas_threads():
     assert [get() for get, _ in _openblas_thread_controls()] == before
 
 
-def test_degenerate_window_is_complete():
+@pytest.mark.parametrize("cutoff", [3, 4])
+def test_degenerate_window_is_complete(cutoff):
     # at gamma = 0 the levels are the L=1 chain levels dressed with every
     # phonon configuration, so e0 + 2 omega_ph is 21-fold degenerate (and
-    # more levels besides); Lanczos alone keeps only some copies
-    model = ModelParams(gamma=0.0)
+    # more levels besides); Lanczos alone keeps only some copies.  At L=4
+    # the sectors (dim 12288) lie above dense_threshold.
+    model = ModelParams(gamma=0.0, phonon_cutoff=cutoff)
     eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     chain = ModelParams(phonon_cutoff=1)
     h1 = build_hamiltonian(chain, BasisIndex(chain)).to_dense()
@@ -192,6 +204,62 @@ def test_degenerate_window_is_complete():
     )
     assert eig.nr == 36
     assert np.abs(eig.energies - dressed[:36]).max() <= 1e-12
+    # every kept vector is even or odd under chain inversion
+    basis = BasisIndex(model)
+    parity = np.einsum("im,im->m", eig.vectors[basis.inversion], eig.vectors)
+    assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("v, w", [(0.0, 0.0), (0.0, -0.104)])
+def test_decoupled_solve_with_degenerate_chain_levels(v, w):
+    # without hopping every chain level is 2N-fold degenerate, and with
+    # v = 0 the two end sites form a degenerate pair of edge levels that
+    # inversion swaps; the exact gamma = 0 states must still be sector
+    # eigenvectors with the full spectrum's energies
+    model = ModelParams(v=v, w=w, gamma=0.0, n_cells=2, phonon_cutoff=2)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    basis = BasisIndex(model)
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, basis).to_dense())
+    assert np.abs(eig.energies - exact[: eig.nr]).max() <= 1e-12
+    parity = np.einsum("im,im->m", eig.vectors[basis.inversion], eig.vectors)
+    assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, calls",
+    [
+        (ModelParams(), 2),
+        (ModelParams(phonon_cutoff=4, gamma=-0.05), 2),
+        (ModelParams(phonon_cutoff=4, gamma=0.0), 0),
+    ],
+    ids=["paper", "L4-gamma-0.05", "L4-gamma0"],
+)
+def test_one_lanczos_call_per_sector(monkeypatch, model, calls):
+    # the first block of each sector reaches max_order, so no sector grows;
+    # gamma = 0 is built without Lanczos
+    counts = []
+    original = scan.eigensolve_lowest
+
+    def counting(op, count, *args, **kwargs):
+        counts.append(count)
+        return original(op, count, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "eigensolve_lowest", counting)
+    solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    assert counts == [scan._INITIAL_COUNT] * calls
+
+
+def test_sector_solves_are_logged(caplog):
+    spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.scan"):
+        solve_eigenbasis(spec)
+        solve_eigenbasis(replace(spec, model=replace(ARPACK_MODEL, gamma=0.0)))
+    assert [r.getMessage() for r in caplog.records] == [
+        "even sector: dim 162, 24 pairs, ncv 64",
+        "odd sector: dim 162, 24 pairs, ncv 64",
+        "even sector: dim 162, 24 pairs, decoupled",
+        "odd sector: dim 162, 24 pairs, decoupled",
+    ]
 
 
 def test_gamma_scan_records_failures_and_continues():
