@@ -7,12 +7,24 @@ drivers give each coupling or cutoff a copy of their spec with that
 value in its model, record per-point failures instead of aborting, and
 gather results by point index so the output is independent of worker
 count and execution order.
+
+A point's two chain-inversion parity sectors are solved at the same
+time when each holds at least ``_FORK_MIN_DIM`` states and the process
+may use two CPUs: the odd sector in a child made by ``os.fork``, the even
+one in the calling process.  Gamma-scan pool workers solve them in turn,
+since the pool already uses the CPUs.  Either way each sector is solved
+by the same code on one BLAS thread, so the bits are the same, and the
+child is reaped before the solve returns or raises, on every path.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
+import mmap
+import os
+import pickle
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -30,6 +42,7 @@ from .pulse import LaserParams
 from .spectral import (
     DENSE_THRESHOLD_DEFAULT,
     EigenBasis,
+    EigensolveError,
     _fix_phases,
     eigensolve_lowest,
     harmonic_order,
@@ -47,6 +60,16 @@ logger = logging.getLogger(__name__)
 # pairs first computed in each parity sector; at max_order 45 no sector of
 # the N=3, L<=4 grids needs more than 22
 _INITIAL_COUNT = 24
+# smallest sector dim at which the two sectors of a point are solved at
+# once, the odd one in a forked child (see _solve_forked).  A fork costs
+# about 0.2 s of CPU whatever the dim: OpenBLAS stops its thread pools for
+# the fork, and setting the thread count back afterwards starts them again,
+# each new thread spinning about 0.1 s before it sleeps.  One
+# solve_eigenbasis in a fresh interpreter, process wall / CPU in s, serial
+# -> forked, on a 2-CPU host: sector dim 2187 (the paper's point) 0.96 /
+# 1.15 -> 1.05 / 1.30, 4802 1.31 / 1.46 -> 1.32 / 1.62, 8192 1.82 / 2.01 ->
+# 1.46 / 2.20, 12288 2.61 / 2.80 -> 1.95 / 2.99.
+_FORK_MIN_DIM = 8192
 # harmonic orders over which a convergence study compares consecutive cutoffs
 CONVERGENCE_WINDOW = (2.0, 40.0)
 
@@ -165,10 +188,21 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _one_blas_thread_worker() -> None:
-    """Pool initializer: this worker runs OpenBLAS on one thread."""
+def _set_one_blas_thread() -> None:
     for _, put in _openblas_thread_controls():
         put(1)
+
+
+# set only in gamma-scan pool workers, whose pool already uses the CPUs
+_POOL_WORKER = False
+
+
+def _scan_worker_init() -> None:
+    """Pool initializer: this worker runs OpenBLAS on one thread and solves
+    the parity sectors of its points one after the other."""
+    global _POOL_WORKER
+    _POOL_WORKER = True
+    _set_one_blas_thread()
 
 
 @contextmanager
@@ -176,8 +210,7 @@ def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore the count."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    _set_one_blas_thread()
     try:
         yield
     finally:
@@ -269,14 +302,104 @@ def _sector_lowest(
     """Lowest ``count`` pairs of parity sector ``sector`` (projection P,
     operator H = P H P^T): built exactly at gamma = 0, else from
     :func:`eigensolve_lowest`."""
-    name = ("even", "odd")[sector]
     if spec.model.gamma == 0:
-        logger.debug("%s sector: dim %d, %d pairs, decoupled", name, op.dim, count)
         return _decoupled_lowest(spec.model, basis, sector, projection, op, count)
-    logger.debug(
-        "%s sector: dim %d, %d pairs, ncv %d", name, op.dim, count, lanczos_ncv(op.dim, count)
-    )
     return eigensolve_lowest(op, count, spec.dense_threshold)
+
+
+def _fork_sectors(dims) -> bool:
+    """Whether :func:`_solve_sectors` solves sectors of these dims at once:
+    two of them, each of at least ``_FORK_MIN_DIM`` states, in a process
+    that can fork, has two CPUs to use and is not a gamma-scan pool
+    worker."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return (
+        len(dims) == 2
+        and min(dims) >= _FORK_MIN_DIM
+        and hasattr(os, "fork")
+        and cpus >= 2
+        and not _POOL_WORKER
+    )
+
+
+def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenBasis]:
+    """:func:`_sector_lowest` for each ``(sector, projection, op, count)``
+    of ``jobs``, in order; two large sectors are solved at once (see
+    :func:`_solve_forked`), any others one after the other."""
+    for sector, _, op, count in jobs:
+        name = ("even", "odd")[sector]
+        if spec.model.gamma == 0:
+            logger.debug("%s sector: dim %d, %d pairs, decoupled", name, op.dim, count)
+        else:
+            ncv = lanczos_ncv(op.dim, count)
+            logger.debug("%s sector: dim %d, %d pairs, ncv %d", name, op.dim, count, ncv)
+    if _fork_sectors([op.dim for _, _, op, _ in jobs]):
+        return _solve_forked(spec, basis, *jobs)
+    return [_sector_lowest(spec, basis, *job) for job in jobs]
+
+
+def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenBasis]:
+    """Solve sector job ``here`` in this process and ``there`` in a forked
+    child, at the same time; same bits as solving them in turn.
+
+    The child inherits every input through the fork, so nothing is
+    pickled on the way in.  It writes its energies and vectors into an
+    anonymous shared mapping and reports through a pipe: nothing on
+    success, else its pickled exception, which is raised here with its
+    type, message and residuals.  It leaves through ``os._exit`` on every
+    path.  The child is reaped before this returns or raises; if this
+    process's own solve fails, the child is killed first.
+
+    OpenBLAS's fork handler stops its thread pools first, so unless the
+    caller runs threads of its own the process forks with one thread.
+    Both processes then solve on the one BLAS thread that
+    :func:`solve_eigenbasis` set, without pools.  Neither sets the count
+    again here: that would restart the pools, whose new threads spin
+    while the two solves run.
+    """
+    sector, _, op, count = there
+    shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            eig = _sector_lowest(spec, basis, *there)
+            shared[:count] = eig.energies
+            shared[count:] = eig.vectors.ravel()
+            status = 0
+        except BaseException as exc:
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            mine = _sector_lowest(spec, basis, *here)
+            report = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if report:
+        # written by this process's own child
+        raise pickle.loads(report)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise EigensolveError(
+            f"{('even', 'odd')[sector]} sector: solver process exited with status {code}"
+        )
+    theirs = EigenBasis(
+        energies=shared[:count].copy(), vectors=shared[count:].reshape(op.dim, count).copy()
+    )
+    return [mine, theirs]
 
 
 def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
@@ -301,6 +424,14 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     x flips the parity, so T between two states of the same sector is
     set to its exact value, 0.  Every BLAS call runs on one thread, so
     each mode gives the same bits for the same point.
+
+    When both sectors of a block hold at least ``_FORK_MIN_DIM`` states
+    and the process may use two CPUs (a gamma-scan pool worker never
+    forks: its pool already uses them), the odd sector is solved in a
+    forked child while this process solves the even one.  Each sector is
+    computed by the same code on one BLAS thread either way, so the bits
+    are the same, and the child is reaped before this returns or raises,
+    on every path.
     """
     with _one_blas_thread():
         omega_l, nr_override = spec.laser.omega_l, spec.nr_override
@@ -311,10 +442,10 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
         sectors = [SparseOperator(dim=p.shape[0], matrix=p @ h.matrix @ p.T) for p in projections]
 
         count = max(_INITIAL_COUNT, nr_override or 1)
-        eigs = [
-            _sector_lowest(spec, basis, k, p, op, min(count, op.dim))
-            for k, (p, op) in enumerate(zip(projections, sectors))
+        jobs = [
+            (k, p, op, min(count, op.dim)) for k, (p, op) in enumerate(zip(projections, sectors))
         ]
+        eigs = _solve_sectors(spec, basis, jobs)
         while nr_override is None:
             e_gs = min(e.energies[0] for e in eigs)
             short = [
@@ -324,9 +455,11 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
             ]
             if not short:
                 break
-            for k in short:
-                count = min(2 * eigs[k].nr, sectors[k].dim)
-                eigs[k] = _sector_lowest(spec, basis, k, projections[k], sectors[k], count)
+            jobs = [
+                (k, projections[k], sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short
+            ]
+            for k, eig in zip(short, _solve_sectors(spec, basis, jobs)):
+                eigs[k] = eig
 
         # kept[j] indexes the sectors' states laid end to end
         energies = np.concatenate([e.energies for e in eigs])
@@ -392,7 +525,7 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     workers = min(workers, len(specs))
     if workers <= 1:
         return list(map(_try_point, specs, labels))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread_worker) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker_init) as pool:
         return list(pool.map(_try_point, specs, labels))
 
 

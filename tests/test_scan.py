@@ -1,6 +1,9 @@
 """Pipeline composition: determinism, decoupled limits, scan drivers, maps."""
 
 import logging
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +29,12 @@ from polaron_hhg.scan import (
     solve_eigenbasis,
     spectral_distance,
 )
-from polaron_hhg.spectral import degenerate_clusters, eigensolve_lowest, select_nr
+from polaron_hhg.spectral import (
+    EigensolveError,
+    degenerate_clusters,
+    eigensolve_lowest,
+    select_nr,
+)
 
 LASER = LaserParams()
 SMALL = ModelParams(n_cells=1, phonon_cutoff=1)
@@ -234,9 +242,10 @@ def test_decoupled_solve_with_degenerate_chain_levels(v, w):
     ],
     ids=["paper", "L4-gamma-0.05", "L4-gamma0"],
 )
-def test_one_lanczos_call_per_sector(monkeypatch, model, calls):
+def test_one_lanczos_call_per_sector(monkeypatch, caplog, model, calls):
     # the first block of each sector reaches max_order, so no sector grows;
-    # gamma = 0 is built without Lanczos
+    # gamma = 0 is built without Lanczos.  A forked child's calls are not
+    # seen here, so they are counted with the sectors solved in turn
     counts = []
     original = scan.eigensolve_lowest
 
@@ -244,9 +253,19 @@ def test_one_lanczos_call_per_sector(monkeypatch, model, calls):
         counts.append(count)
         return original(op, count, *args, **kwargs)
 
-    monkeypatch.setattr(scan, "eigensolve_lowest", counting)
-    solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    spec = ScanSpec(model=model, laser=LASER)
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_fork_sectors", lambda dims: False)
+        m.setattr(scan, "eigensolve_lowest", counting)
+        solve_eigenbasis(spec)
     assert counts == [scan._INITIAL_COUNT] * calls
+    # solved at once, each sector still logs one block and no growth
+    monkeypatch.setattr(scan, "_FORK_MIN_DIM", 0)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.scan"):
+        solve_eigenbasis(spec)
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(":")[0] for line in lines] == ["even sector", "odd sector"]
+    assert all(f" {scan._INITIAL_COUNT} pairs" in line for line in lines)
 
 
 def test_sector_solves_are_logged(caplog):
@@ -260,6 +279,109 @@ def test_sector_solves_are_logged(caplog):
         "even sector: dim 162, 24 pairs, decoupled",
         "odd sector: dim 162, 24 pairs, decoupled",
     ]
+
+
+def _forking(monkeypatch) -> list:
+    """Solve every pair of sectors at once; returns the pids forked."""
+    monkeypatch.setattr(scan, "_FORK_MIN_DIM", 0)
+    if not scan._fork_sectors([1, 1]):
+        pytest.skip("needs os.fork and two usable CPUs")
+    forks = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ARPACK_SPEC = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
+
+
+@pytest.mark.parametrize("gamma", [-0.025, 0.0])
+def test_sectors_solved_at_once_give_the_same_bits(monkeypatch, gamma):
+    spec = replace(ARPACK_SPEC, model=replace(ARPACK_MODEL, gamma=gamma))
+    serial = solve_eigenbasis(spec)
+    forks = _forking(monkeypatch)
+    forked = solve_eigenbasis(spec)
+    assert len(forks) == 1
+    assert np.array_equal(forked.energies, serial.energies)
+    assert np.array_equal(forked.vectors, serial.vectors)
+    assert np.array_equal(forked.transition, serial.transition)
+    _assert_no_child_left()
+
+
+def test_forked_sector_failure_reaches_the_caller(monkeypatch):
+    forks = _forking(monkeypatch)
+    original = scan._sector_lowest
+
+    def failing(spec, basis, sector, *args):
+        if sector == 1:
+            raise EigensolveError(
+                f"odd sector failed in process {os.getpid()}", residuals=np.array([1e-3, 2e-7])
+            )
+        return original(spec, basis, sector, *args)
+
+    monkeypatch.setattr(scan, "_sector_lowest", failing)
+    with pytest.raises(EigensolveError) as info:
+        solve_eigenbasis(ARPACK_SPEC)
+    assert type(info.value) is EigensolveError
+    assert str(info.value) == f"odd sector failed in process {forks[0]}"
+    assert np.array_equal(info.value.residuals, [1e-3, 2e-7])
+    _assert_no_child_left()
+
+
+def test_silent_child_exit_names_the_odd_sector(monkeypatch):
+    forks = _forking(monkeypatch)
+    parent = os.getpid()
+    original = scan._sector_lowest
+
+    def dying(spec, basis, sector, *args):
+        if sector == 1 and os.getpid() != parent:
+            os._exit(3)
+        return original(spec, basis, sector, *args)
+
+    monkeypatch.setattr(scan, "_sector_lowest", dying)
+    with pytest.raises(EigensolveError, match="^odd sector: .* status 3$"):
+        solve_eigenbasis(ARPACK_SPEC)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_failed_even_sector_does_not_wait_for_the_child(monkeypatch):
+    forks = _forking(monkeypatch)
+
+    def even_fails(spec, basis, sector, *args):
+        if sector == 1:
+            time.sleep(60)
+        raise ValueError("even sector failed")
+
+    monkeypatch.setattr(scan, "_sector_lowest", even_fails)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="even sector failed"):
+        solve_eigenbasis(ARPACK_SPEC)
+    assert time.monotonic() - start < 10.0
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_pool_workers_solve_sectors_in_turn():
+    # the pool already uses the CPUs, so its workers never fork a sector
+    large = [10**9, 10**9]
+    with ProcessPoolExecutor(max_workers=1, initializer=scan._scan_worker_init) as pool:
+        assert pool.submit(scan._fork_sectors, large).result() is False
+    # while this process, on two CPUs, forks for the same dims
+    if hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
+        assert scan._fork_sectors(large) is True
 
 
 def test_gamma_scan_records_failures_and_continues():

@@ -1,5 +1,7 @@
 """Eigensolver paths, transition matrix, state selection and relevance ranking."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,17 @@ def test_eigensolve_nonconvergence_error():
     h = build_hamiltonian(model, BasisIndex(model))
     with pytest.raises(EigensolveError):
         eigensolve_lowest(h, 40, dense_threshold=10, max_iterations=1)
+
+
+def test_eigensolve_error_survives_pickling():
+    # a sector solved in a forked child reports its failure pickled; the
+    # residuals travel in the instance dict that BaseException pickles
+    error = EigensolveError("residuals too large", residuals=np.array([1e-3, 2e-7]))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is EigensolveError
+    assert str(copy) == "residuals too large"
+    assert np.array_equal(copy.residuals, error.residuals)
+    assert pickle.loads(pickle.dumps(EigensolveError("no residuals"))).residuals is None
 
 
 def test_eigenvector_invariants():
