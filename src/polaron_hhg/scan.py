@@ -10,11 +10,12 @@ count and execution order.
 
 A point's two chain-inversion parity sectors are solved at the same
 time when each holds at least ``_FORK_MIN_DIM`` states and the process
-may use two CPUs: the odd sector in a child made by ``os.fork``, the even
-one in the calling process.  Gamma-scan pool workers solve them in turn,
-since the pool already uses the CPUs.  Either way each sector is solved
-by the same code on one BLAS thread, so the bits are the same, and the
-child is reaped before the solve returns or raises, on every path.
+may use two CPUs: the odd sector in a forked ``multiprocessing`` child,
+the even one in the calling process.  A ``multiprocessing`` child, such as
+a gamma-scan pool worker, solves them in turn, since its parent already
+uses the CPUs.  Either way each sector is solved by the same code on one
+BLAS thread, so the bits are the same, and the child is reaped before the
+solve returns or raises, on every path.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import ctypes
 import logging
 import mmap
+import multiprocessing
 import os
-import pickle
-import signal
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -188,29 +188,13 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _set_one_blas_thread() -> None:
-    for _, put in _openblas_thread_controls():
-        put(1)
-
-
-# set only in gamma-scan pool workers, whose pool already uses the CPUs
-_POOL_WORKER = False
-
-
-def _scan_worker_init() -> None:
-    """Pool initializer: this worker runs OpenBLAS on one thread and solves
-    the parity sectors of its points one after the other."""
-    global _POOL_WORKER
-    _POOL_WORKER = True
-    _set_one_blas_thread()
-
-
 @contextmanager
 def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore the count."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
-    _set_one_blas_thread()
+    for _, put in controls:
+        put(1)
     try:
         yield
     finally:
@@ -310,8 +294,8 @@ def _sector_lowest(
 def _fork_sectors(dims) -> bool:
     """Whether :func:`_solve_sectors` solves sectors of these dims at once:
     two of them, each of at least ``_FORK_MIN_DIM`` states, in a process
-    that can fork, has two CPUs to use and is not a gamma-scan pool
-    worker."""
+    that can fork, has two CPUs to use and is no ``multiprocessing``
+    child, such as a gamma-scan pool worker, whose parent uses them."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -321,7 +305,7 @@ def _fork_sectors(dims) -> bool:
         and min(dims) >= _FORK_MIN_DIM
         and hasattr(os, "fork")
         and cpus >= 2
-        and not _POOL_WORKER
+        and multiprocessing.parent_process() is None
     )
 
 
@@ -341,17 +325,35 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     return [_sector_lowest(spec, basis, *job) for job in jobs]
 
 
+def _solve_child(report, shared: np.ndarray, spec: ScanSpec, basis: BasisIndex, job) -> None:
+    """:func:`_solve_forked`'s child: solve sector ``job`` into ``shared``
+    (energies, then vectors) and send None, or the exception, to ``report``."""
+    count = job[3]
+    try:
+        eig = _sector_lowest(spec, basis, *job)
+        shared[:count] = eig.energies
+        shared[count:] = eig.vectors.ravel()
+    except Exception as exc:
+        report.send(exc)
+    else:
+        report.send(None)
+
+
 def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenBasis]:
     """Solve sector job ``here`` in this process and ``there`` in a forked
     child, at the same time; same bits as solving them in turn.
 
-    The child inherits every input through the fork, so nothing is
-    pickled on the way in.  It writes its energies and vectors into an
-    anonymous shared mapping and reports through a pipe: nothing on
-    success, else its pickled exception, which is raised here with its
-    type, message and residuals.  It leaves through ``os._exit`` on every
-    path.  The child is reaped before this returns or raises; if this
-    process's own solve fails, the child is killed first.
+    The child is a ``multiprocessing`` process started by fork, so it
+    inherits every input and nothing is serialised on the way in.  It
+    writes its energies and vectors into an anonymous shared mapping, so
+    they do not go through the pipe either: this process would then hold
+    their serialised bytes and the arrays rebuilt from them at once.  A
+    one-way pipe carries its report: None on success, else its exception,
+    which is raised here with its type, message and residuals.  A child
+    that dies without reporting is an ``EigensolveError`` naming the
+    sector and its exit status.  The child is reaped before this returns
+    or raises; if this process's own solve fails, the child is killed
+    first.
 
     OpenBLAS's fork handler stops its thread pools first, so unless the
     caller runs threads of its own the process forks with one thread.
@@ -362,40 +364,31 @@ def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenB
     """
     sector, _, op, count = there
     shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            eig = _sector_lowest(spec, basis, *there)
-            shared[:count] = eig.energies
-            shared[count:] = eig.vectors.ravel()
-            status = 0
-        except BaseException as exc:
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
-        finally:
-            os._exit(status)
-
-    os.close(write_end)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_solve_child, args=(sender, shared, spec, basis, there))
+    child.start()
+    # with this process's write end closed, recv() sees EOF once the child is gone
+    sender.close()
     try:
-        with open(read_end, "rb") as pipe:
-            mine = _sector_lowest(spec, basis, *here)
-            report = pipe.read()
+        mine = _sector_lowest(spec, basis, *here)
+        try:
+            report = receiver.recv()
+        except EOFError:
+            child.join()
+            report = EigensolveError(
+                f"{('even', 'odd')[sector]} sector: solver process exited with status "
+                f"{child.exitcode}"
+            )
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        child.kill()
         raise
     finally:
-        _, status = os.waitpid(pid, 0)
-    if report:
-        # written by this process's own child
-        raise pickle.loads(report)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise EigensolveError(
-            f"{('even', 'odd')[sector]} sector: solver process exited with status {code}"
-        )
+        child.join()
+        receiver.close()
+    if report is not None:
+        # sent by this process's own child
+        raise report
     theirs = EigenBasis(
         energies=shared[:count].copy(), vectors=shared[count:].reshape(op.dim, count).copy()
     )
@@ -426,12 +419,12 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     each mode gives the same bits for the same point.
 
     When both sectors of a block hold at least ``_FORK_MIN_DIM`` states
-    and the process may use two CPUs (a gamma-scan pool worker never
-    forks: its pool already uses them), the odd sector is solved in a
-    forked child while this process solves the even one.  Each sector is
-    computed by the same code on one BLAS thread either way, so the bits
-    are the same, and the child is reaped before this returns or raises,
-    on every path.
+    and the process may use two CPUs (a ``multiprocessing`` child, such
+    as a gamma-scan pool worker, never forks: its parent already uses
+    them), the odd sector is solved in a forked child while this process
+    solves the even one.  Each sector is computed by the same code on one
+    BLAS thread either way, so the bits are the same, and the child is
+    reaped before this returns or raises, on every path.
     """
     with _one_blas_thread():
         omega_l, nr_override = spec.laser.omega_l, spec.nr_override
@@ -514,9 +507,10 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     Results come back ordered by grid index whatever the worker count.
     Every point runs OpenBLAS on one thread, as in every other mode (see
     :func:`run_point`), so a point's bits do not depend on the worker
-    count or on the process that computed it.  Pool workers also start
-    on one thread, so that workers sharing the cores never spin idle
-    BLAS threads against each other.
+    count or on the process that computed it.  Pool workers need no
+    initializer: :func:`run_point` sets the one thread, and a worker, as
+    a ``multiprocessing`` child, solves each point's sectors in turn (see
+    :func:`_fork_sectors`).
     """
     gammas = [float(g) for g in spec.gamma_values]
     specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
@@ -525,7 +519,7 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     workers = min(workers, len(specs))
     if workers <= 1:
         return list(map(_try_point, specs, labels))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_scan_worker_init) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_try_point, specs, labels))
 
 
@@ -543,10 +537,14 @@ class ConvergenceReport:
 def spectral_distance(
     a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = CONVERGENCE_WINDOW
 ) -> float:
-    """Max-abs difference of the normalized yields over an order window."""
+    """Max-abs difference of the normalized yields over an order window;
+    nan when the window holds no order of the grid, as for a pair of
+    cutoffs that cannot be compared."""
     if a.orders.shape != b.orders.shape or np.abs(a.orders - b.orders).max() > 1e-9:
         raise ValueError("spectra live on different grids")
     sel = (a.orders >= window[0]) & (a.orders <= window[1])
+    if not sel.any():
+        return float("nan")
     return float(np.abs(a.yield_norm[sel] - b.yield_norm[sel]).max())
 
 

@@ -385,6 +385,27 @@ def test_converge_mode(tmp_path):
     assert (out / "spectrum_L2.txt").is_file()
 
 
+def test_converge_with_an_empty_window_keeps_its_spectra(tmp_path):
+    # 16 steps of a 5-cycle pulse resolve orders up to 1.6, so the
+    # comparison window [2, 40] holds none: the distance is nan
+    cfg = _write(
+        tmp_path,
+        "[model]\nn_cells = 1\n\n[propagation]\nn_steps = 16\n\n"
+        "[run]\nmax_order = 0\nl_values = 1, 2\n",
+    )
+    out = tmp_path / "conv"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "convergence.txt").read_text().splitlines()
+    rows = [l.split("\t") for l in lines if not l.startswith("#")]
+    assert [(r[0], r[3]) for r in rows] == [("1", "nan"), ("2", "nan")]
+    assert (out / "manifest.txt").read_text().split() == [
+        "resolved.ini",
+        "convergence.txt",
+        "spectrum_L1.txt",
+        "spectrum_L2.txt",
+    ]
+
+
 def test_correlate_mode(tmp_path):
     cfg = _write(tmp_path, TINY + "correlate_states = 0, 1\n")
     out = tmp_path / "corr"

@@ -1,7 +1,9 @@
 """Pipeline composition: determinism, decoupled limits, scan drivers, maps."""
 
 import logging
+import multiprocessing
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -299,9 +301,12 @@ def _forking(monkeypatch) -> list:
     return forks
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _assert_no_child_left(forks):
+    # every process the solve forked is reaped; other children of this
+    # process, such as multiprocessing's resource tracker, do not count
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 ARPACK_SPEC = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
@@ -317,7 +322,7 @@ def test_sectors_solved_at_once_give_the_same_bits(monkeypatch, gamma):
     assert np.array_equal(forked.energies, serial.energies)
     assert np.array_equal(forked.vectors, serial.vectors)
     assert np.array_equal(forked.transition, serial.transition)
-    _assert_no_child_left()
+    _assert_no_child_left(forks)
 
 
 def test_forked_sector_failure_reaches_the_caller(monkeypatch):
@@ -337,24 +342,33 @@ def test_forked_sector_failure_reaches_the_caller(monkeypatch):
     assert type(info.value) is EigensolveError
     assert str(info.value) == f"odd sector failed in process {forks[0]}"
     assert np.array_equal(info.value.residuals, [1e-3, 2e-7])
-    _assert_no_child_left()
+    _assert_no_child_left(forks)
 
 
-def test_silent_child_exit_names_the_odd_sector(monkeypatch):
+@pytest.mark.parametrize(
+    "die,status",
+    [
+        (lambda: os._exit(3), 3),
+        # what the kernel's OOM killer sends
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ],
+    ids=["exit", "sigkill"],
+)
+def test_silent_child_exit_names_the_odd_sector(monkeypatch, die, status):
     forks = _forking(monkeypatch)
     parent = os.getpid()
     original = scan._sector_lowest
 
     def dying(spec, basis, sector, *args):
         if sector == 1 and os.getpid() != parent:
-            os._exit(3)
+            die()
         return original(spec, basis, sector, *args)
 
     monkeypatch.setattr(scan, "_sector_lowest", dying)
-    with pytest.raises(EigensolveError, match="^odd sector: .* status 3$"):
+    with pytest.raises(EigensolveError, match=f"^odd sector: .* status {status}$"):
         solve_eigenbasis(ARPACK_SPEC)
     assert len(forks) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(forks)
 
 
 def test_failed_even_sector_does_not_wait_for_the_child(monkeypatch):
@@ -371,13 +385,16 @@ def test_failed_even_sector_does_not_wait_for_the_child(monkeypatch):
         solve_eigenbasis(ARPACK_SPEC)
     assert time.monotonic() - start < 10.0
     assert len(forks) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(forks)
 
 
-def test_pool_workers_solve_sectors_in_turn():
-    # the pool already uses the CPUs, so its workers never fork a sector
+@pytest.mark.parametrize("method", [None, "spawn"], ids=["default", "spawn"])
+def test_pool_workers_solve_sectors_in_turn(method):
+    # the pool already uses the CPUs, so its workers never fork a sector,
+    # whichever way they were started
     large = [10**9, 10**9]
-    with ProcessPoolExecutor(max_workers=1, initializer=scan._scan_worker_init) as pool:
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
         assert pool.submit(scan._fork_sectors, large).result() is False
     # while this process, on two CPUs, forks for the same dims
     if hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
@@ -411,7 +428,7 @@ def test_scan_pool_is_capped_at_the_point_count(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
 
         def __enter__(self):
