@@ -13,9 +13,9 @@ and all observables are invariant under the shift.
 The step is linear in the amplitudes: it is the exact phase applied
 elementwise plus one nr x nr matrix, a field-weighted sum of nine fixed
 products of the phase and T (see :func:`propagate`), so a step costs
-one matvec and one elementwise multiply-add.  Steps run in blocks of fixed length: each block forms its
-step matrices in one product and, after its steps, computes the
-observables from its stored amplitudes.
+one matvec and one elementwise multiply-add.  Steps run in blocks of
+fixed length: each block forms its step matrices in one product and,
+after its steps, computes the observables from its stored amplitudes.
 
 Observable operators are rotated once into the eigenbasis (dense
 nr x nr), so each recorded sample costs O(nr^2) regardless of the full

@@ -15,7 +15,8 @@ the even one in the calling process.  A ``multiprocessing`` child, such as
 a gamma-scan pool worker, solves them in turn, since its parent already
 uses the CPUs.  Either way each sector is solved by the same code on one
 BLAS thread, so the bits are the same, and the child is reaped before the
-solve returns or raises, on every path.
+solve returns or raises, on every path.  The first solve leaves OpenBLAS
+on one thread for the rest of the process (see ``_one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
@@ -61,14 +61,12 @@ logger = logging.getLogger(__name__)
 # the N=3, L<=4 grids needs more than 22
 _INITIAL_COUNT = 24
 # smallest sector dim at which the two sectors of a point are solved at
-# once, the odd one in a forked child (see _solve_forked).  A fork costs
-# about 0.2 s of CPU whatever the dim: OpenBLAS stops its thread pools for
-# the fork, and setting the thread count back afterwards starts them again,
-# each new thread spinning about 0.1 s before it sleeps.  One
-# solve_eigenbasis in a fresh interpreter, process wall / CPU in s, serial
-# -> forked, on a 2-CPU host: sector dim 2187 (the paper's point) 0.96 /
-# 1.15 -> 1.05 / 1.30, 4802 1.31 / 1.46 -> 1.32 / 1.62, 8192 1.82 / 2.01 ->
-# 1.46 / 2.20, 12288 2.61 / 2.80 -> 1.95 / 2.99.
+# once, the odd one in a forked child (see _solve_forked).  One
+# solve_eigenbasis in a fresh interpreter, process wall / CPU in s, median
+# of 5, serial -> at once, on a 2-CPU host: sector dim 2187 (the paper's
+# point) 0.82 / 1.05 -> 0.76 / 1.09, 4802 0.90 / 1.15 -> 0.77 / 1.17, 8192
+# 1.66 / 1.92 -> 1.24 / 1.92, 12288 2.34 / 2.59 -> 1.69 / 2.59.  Below
+# 8192 the wall saved is within the host's drift.
 _FORK_MIN_DIM = 8192
 # harmonic orders over which a convergence study compares consecutive cutoffs
 CONVERGENCE_WINDOW = (2.0, 40.0)
@@ -188,18 +186,18 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore the count."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
+@cache
+def _one_blas_thread() -> None:
+    """Set every bundled OpenBLAS to one thread, for good.
+
+    The count is never restored: after its first solve a process keeps
+    OpenBLAS on one thread, and so do the processes it forks later, which
+    inherit the count and this cache and so never call the setter.  After
+    a fork that call would restart the thread pools that OpenBLAS's fork
+    handler stopped, and their new threads would spin.
+    """
+    for _, put in _openblas_thread_controls():
         put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(controls, saved):
-            put(n)
 
 
 def _parity_projections(basis: BasisIndex) -> tuple:
@@ -358,9 +356,8 @@ def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenB
     OpenBLAS's fork handler stops its thread pools first, so unless the
     caller runs threads of its own the process forks with one thread.
     Both processes then solve on the one BLAS thread that
-    :func:`solve_eigenbasis` set, without pools.  Neither sets the count
-    again here: that would restart the pools, whose new threads spin
-    while the two solves run.
+    :func:`solve_eigenbasis` set, and since no process sets the count
+    again (see ``_one_blas_thread``) the pools stay stopped.
     """
     sector, _, op, count = there
     shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
@@ -415,8 +412,8 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     4 reaches the ``spec.dense_threshold`` stand-in.  The merged energies choose
     ``nr``, and only the kept vectors are lifted back to the site basis.
     x flips the parity, so T between two states of the same sector is
-    set to its exact value, 0.  Every BLAS call runs on one thread, so
-    each mode gives the same bits for the same point.
+    set to its exact value, 0.  OpenBLAS is first set to one thread for
+    good (see ``_one_blas_thread``), so every mode gives the same bits.
 
     When both sectors of a block hold at least ``_FORK_MIN_DIM`` states
     and the process may use two CPUs (a ``multiprocessing`` child, such
@@ -426,62 +423,58 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     BLAS thread either way, so the bits are the same, and the child is
     reaped before this returns or raises, on every path.
     """
-    with _one_blas_thread():
-        omega_l, nr_override = spec.laser.omega_l, spec.nr_override
-        basis = BasisIndex(spec.model)
-        h = build_hamiltonian(spec.model, basis)
-        x = build_position(spec.model, basis)
-        projections = _parity_projections(basis)
-        sectors = [SparseOperator(dim=p.shape[0], matrix=p @ h.matrix @ p.T) for p in projections]
+    _one_blas_thread()
+    omega_l, nr_override = spec.laser.omega_l, spec.nr_override
+    basis = BasisIndex(spec.model)
+    h = build_hamiltonian(spec.model, basis)
+    x = build_position(spec.model, basis)
+    projections = _parity_projections(basis)
+    sectors = [SparseOperator(dim=p.shape[0], matrix=p @ h.matrix @ p.T) for p in projections]
 
-        count = max(_INITIAL_COUNT, nr_override or 1)
-        jobs = [
-            (k, p, op, min(count, op.dim)) for k, (p, op) in enumerate(zip(projections, sectors))
+    count = max(_INITIAL_COUNT, nr_override or 1)
+    jobs = [(k, p, op, min(count, op.dim)) for k, (p, op) in enumerate(zip(projections, sectors))]
+    eigs = _solve_sectors(spec, basis, jobs)
+    while nr_override is None:
+        e_gs = min(e.energies[0] for e in eigs)
+        short = [
+            k
+            for k, (op, e) in enumerate(zip(sectors, eigs))
+            if e.nr < op.dim and harmonic_order(e.energies[-1], e_gs, omega_l) < spec.max_order
         ]
-        eigs = _solve_sectors(spec, basis, jobs)
-        while nr_override is None:
-            e_gs = min(e.energies[0] for e in eigs)
-            short = [
-                k
-                for k, (op, e) in enumerate(zip(sectors, eigs))
-                if e.nr < op.dim and harmonic_order(e.energies[-1], e_gs, omega_l) < spec.max_order
-            ]
-            if not short:
-                break
-            jobs = [
-                (k, projections[k], sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short
-            ]
-            for k, eig in zip(short, _solve_sectors(spec, basis, jobs)):
-                eigs[k] = eig
+        if not short:
+            break
+        jobs = [(k, projections[k], sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short]
+        for k, eig in zip(short, _solve_sectors(spec, basis, jobs)):
+            eigs[k] = eig
 
-        # kept[j] indexes the sectors' states laid end to end
-        energies = np.concatenate([e.energies for e in eigs])
-        order = np.argsort(energies, kind="stable")
-        energies = energies[order]
-        warn_near_degenerate_ground(energies)
-        nr = select_nr(energies, omega_l, spec.max_order, nr_override)
-        kept = order[:nr]
-        vectors = np.empty((basis.dim, nr))
-        start = 0
-        for p, e in zip(projections, eigs):
-            mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
-            vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
-            start += e.nr
-        eig = EigenBasis(energies=energies[:nr], vectors=_fix_phases(vectors))
-        eig = with_transition(eig, x)
-        # H keeps the parity and x flips it: same-parity entries are exactly 0
-        even = kept < eigs[0].nr
-        eig.transition[even[:, None] == even] = 0.0
-        return eig
+    # kept[j] indexes the sectors' states laid end to end
+    energies = np.concatenate([e.energies for e in eigs])
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    warn_near_degenerate_ground(energies)
+    nr = select_nr(energies, omega_l, spec.max_order, nr_override)
+    kept = order[:nr]
+    vectors = np.empty((basis.dim, nr))
+    start = 0
+    for p, e in zip(projections, eigs):
+        mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
+        vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
+        start += e.nr
+    eig = EigenBasis(energies=energies[:nr], vectors=_fix_phases(vectors))
+    eig = with_transition(eig, x)
+    # H keeps the parity and x flips it: same-parity entries are exactly 0
+    even = kept < eigs[0].nr
+    eig.transition[even[:, None] == even] = 0.0
+    return eig
 
 
 def run_point(spec: ScanSpec) -> PointResult:
     """Deterministic end-to-end run for one parameter set, on one BLAS
-    thread throughout (see :func:`solve_eigenbasis`)."""
-    with _one_blas_thread():
-        basis = BasisIndex(spec.model)
-        eig = solve_eigenbasis(spec)
-        ts = propagate(eig, basis, spec.laser, spec.propagation)
+    thread throughout: :func:`solve_eigenbasis`, called before
+    propagation, sets it (see ``_one_blas_thread``)."""
+    basis = BasisIndex(spec.model)
+    eig = solve_eigenbasis(spec)
+    ts = propagate(eig, basis, spec.laser, spec.propagation)
     omega_l = spec.laser.omega_l
     spectrum = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, omega_l)
     return PointResult(
@@ -507,9 +500,10 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     Results come back ordered by grid index whatever the worker count.
     Every point runs OpenBLAS on one thread, as in every other mode (see
     :func:`run_point`), so a point's bits do not depend on the worker
-    count or on the process that computed it.  Pool workers need no
-    initializer: :func:`run_point` sets the one thread, and a worker, as
-    a ``multiprocessing`` child, solves each point's sectors in turn (see
+    count or on the process that computed it.  The one thread is set
+    here before the pool forks its workers, so they inherit it and never
+    set it themselves (see ``_one_blas_thread``); a worker, as a
+    ``multiprocessing`` child, solves each point's sectors in turn (see
     :func:`_fork_sectors`).
     """
     gammas = [float(g) for g in spec.gamma_values]
@@ -519,6 +513,7 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     workers = min(workers, len(specs))
     if workers <= 1:
         return list(map(_try_point, specs, labels))
+    _one_blas_thread()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_try_point, specs, labels))
 

@@ -17,9 +17,10 @@ operator handed in, when the Lanczos result holds a degenerate cluster.
 No point of the default coupling grids at N=3, L=3 or 4 reaches that
 second stand-in any more: there no sector at gamma != 0 holds a cluster
 within 1e-9, and gamma = 0 is exact.  It stays until a benchmark
-change, because the benchmark's smoke workload sets ``dense_threshold``.  Every path returns ascending energies,
-orthonormal vectors with a fixed sign convention, and verified
-residuals (:func:`verified_basis`).
+change, because the benchmark's smoke workload sets ``dense_threshold``.
+Every path returns ascending energies, orthonormal vectors with a fixed
+sign convention, and verified residuals (:func:`verified_basis`); every
+failure is an :class:`EigensolveError`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from .operators import SparseOperator
 
@@ -150,6 +151,9 @@ def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
         raise EigensolveError(
             f"Lanczos did not converge for k={count}, dim={op.dim}", residuals=res
         ) from exc
+    except ArpackError as exc:
+        # ArpackError does not survive pickling, as from a forked sector solve
+        raise EigensolveError(f"ARPACK failed for k={count}, dim={op.dim}: {exc}") from exc
 
 
 def eigensolve_lowest(

@@ -4,13 +4,17 @@ import logging
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.sparse.linalg import ArpackError
 
 from polaron_hhg import scan
 from polaron_hhg.cli import RunConfig
@@ -190,11 +194,57 @@ def test_paper_model_gamma_scan_worker_count_invariance():
         assert np.array_equal(a.spectrum.yield_norm, b.spectrum.yield_norm)
 
 
-def test_serial_scan_restores_blas_threads():
-    before = [get() for get, _ in _openblas_thread_controls()]
-    spec = ScanSpec(model=SMALL, laser=LASER, propagation=CFG15, gamma_values=(-0.01,))
-    gamma_scan(spec, workers=1)
-    assert [get() for get, _ in _openblas_thread_controls()] == before
+def _skip_without_blas_pools():
+    # on one CPU OpenBLAS starts no thread pool, so the count reads 1 anyway
+    if not os.path.isdir("/proc/self/task") or not hasattr(os, "fork"):
+        pytest.skip("needs /proc/self/task and os.fork")
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+
+
+_TRY_POINT = scan._try_point
+
+
+def _point_and_threads(spec, label):
+    """A scan point, then the threads of the process that ran it and its
+    OpenBLAS thread counts."""
+    result = _TRY_POINT(spec, label)
+    counts = [get() for get, _ in _openblas_thread_controls()]
+    return result, len(os.listdir("/proc/self/task")), counts
+
+
+def test_pool_workers_keep_one_thread(monkeypatch):
+    # the pool is forked after the count is set, so a worker never sets it:
+    # a set call after a fork would restart OpenBLAS's thread pools
+    _skip_without_blas_pools()
+    monkeypatch.setattr(scan, "_try_point", _point_and_threads)
+    spec = replace(SMALL_SPEC, gamma_values=(-0.02, -0.01))
+    for point, threads, counts in gamma_scan(spec, workers=2):
+        assert isinstance(point, PointResult)
+        assert threads == 1
+        assert set(counts) <= {1}
+
+
+def test_solve_at_once_leaves_one_thread():
+    # in a fresh interpreter, after a solve that forked the odd sector
+    _skip_without_blas_pools()
+    code = (
+        "import os; from polaron_hhg import scan; scan._FORK_MIN_DIM = 0; "
+        "from polaron_hhg.hilbert import ModelParams; "
+        "model = ModelParams(n_cells=2, phonon_cutoff=3); "
+        "assert scan._fork_sectors([1, 1]); "
+        "scan.solve_eigenbasis(scan.ScanSpec(model=model)); "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 
 @pytest.mark.parametrize("cutoff", [3, 4])
@@ -343,6 +393,35 @@ def test_forked_sector_failure_reaches_the_caller(monkeypatch):
     assert str(info.value) == f"odd sector failed in process {forks[0]}"
     assert np.array_equal(info.value.residuals, [1e-3, 2e-7])
     _assert_no_child_left(forks)
+
+
+def test_arpack_error_reads_the_same_in_turn_and_at_once(monkeypatch):
+    # an ArpackError does not survive pickling, so the odd sector's must
+    # reach the caller as the same EigensolveError from a forked child
+    parent = os.getpid()
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def odd_fails(*args, **kwargs):
+        calls.append(os.getpid())
+        # in turn the second call solves the odd sector; at once the child does
+        if os.getpid() != parent or len(calls) == 2:
+            raise ArpackError(-9999)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", odd_fails)
+    errors = []
+    for at_once in (False, True):
+        calls.clear()
+        forks = _forking(monkeypatch) if at_once else []
+        with pytest.raises(EigensolveError) as info:
+            solve_eigenbasis(ARPACK_SPEC)
+        errors.append((type(info.value), str(info.value)))
+        _assert_no_child_left(forks)
+    assert len(forks) == 1
+    assert errors == [
+        (EigensolveError, "ARPACK failed for k=24, dim=162: ARPACK error -9999: Unknown error")
+    ] * 2
 
 
 @pytest.mark.parametrize(
