@@ -105,14 +105,13 @@ def build_h_eph(params: ModelParams, basis: BasisIndex) -> SparseOperator:
 
 def build_hamiltonian(params: ModelParams, basis: BasisIndex) -> SparseOperator:
     """Field-free Hamiltonian: hopping + oscillator energy + local coupling."""
+    # a sum of canonical CSR parts is canonical, with no explicit zeros
     h = (
         build_h_electron(params, basis).matrix
         + build_h_phonon(params, basis).matrix
         + build_h_eph(params, basis).matrix
     )
-    h.sum_duplicates()
-    h.eliminate_zeros()
-    return SparseOperator(dim=basis.dim, matrix=h.tocsr())
+    return SparseOperator(dim=basis.dim, matrix=h)
 
 
 def build_position(params: ModelParams, basis: BasisIndex) -> SparseOperator:

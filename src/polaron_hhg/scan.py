@@ -61,20 +61,21 @@ logger = logging.getLogger(__name__)
 # the N=3, L<=4 grids needs more than 22
 _INITIAL_COUNT = 24
 # smallest sector dim at which the two sectors of a point are solved at
-# once, the odd one in a forked child (see _solve_forked).  One
+# once, the odd one in a forked child (see _solve_sectors).  One
 # solve_eigenbasis in a fresh interpreter, process wall / CPU in s, median
 # of 5, serial -> at once, on a 2-CPU host: sector dim 2187 (the paper's
 # point) 0.82 / 1.05 -> 0.76 / 1.09, 4802 0.90 / 1.15 -> 0.77 / 1.17, 8192
 # 1.66 / 1.92 -> 1.24 / 1.92, 12288 2.34 / 2.59 -> 1.69 / 2.59.  Below
-# 8192 the wall saved is within the host's drift.
+# 8192 the wall saved is within the host's drift, and forking at 2187 raised
+# the paper run's CPU time in each of 3 benchmark pairs.
 _FORK_MIN_DIM = 8192
 # harmonic orders over which a convergence study compares consecutive cutoffs
 CONVERGENCE_WINDOW = (2.0, 40.0)
 
 
-def default_gamma_grid(n_points: int = 26) -> np.ndarray:
-    """Uniform coupling grid over [-0.05, 0], weakest coupling last."""
-    return np.linspace(-0.05, 0.0, n_points)
+def default_gamma_grid() -> np.ndarray:
+    """Uniform 26-point coupling grid over [-0.05, 0], weakest coupling last."""
+    return np.linspace(-0.05, 0.0, 26)
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,10 @@ class ScanSpec:
     read every setting they use from it.  ``dense_threshold`` is the
     largest parity-sector dim (half the space, see
     :func:`solve_eigenbasis`) at which LAPACK replaces an ARPACK result
-    holding a degenerate cluster (see ``eigensolve_lowest``).  No point
-    of the default coupling grids at N=3, L=3 or 4 reaches that
-    stand-in: there no sector at gamma != 0 holds a cluster within 1e-9,
-    and gamma = 0 is built exactly.  The key stays because the
-    benchmark's smoke workload sets it.
+    holding a degenerate cluster (see ``eigensolve_lowest``).  Degenerate
+    chain levels at gamma != 0 (v = w = 0, say) need that stand-in; the
+    default coupling grids at N=3, L=3 or 4 hold no such cluster, and
+    gamma = 0 is built exactly.
     ``gamma_values`` are the couplings of :func:`gamma_scan` and
     ``l_values`` the cutoffs of :func:`convergence_study`; those run one
     point per value, on a copy of the spec whose model holds that value.
@@ -290,10 +290,7 @@ def _sector_lowest(
 
 
 def _fork_sectors(dims) -> bool:
-    """Whether :func:`_solve_sectors` solves sectors of these dims at once:
-    two of them, each of at least ``_FORK_MIN_DIM`` states, in a process
-    that can fork, has two CPUs to use and is no ``multiprocessing``
-    child, such as a gamma-scan pool worker, whose parent uses them."""
+    """Whether :func:`_solve_sectors` solves sectors of these dims at once."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -309,8 +306,33 @@ def _fork_sectors(dims) -> bool:
 
 def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenBasis]:
     """:func:`_sector_lowest` for each ``(sector, projection, op, count)``
-    of ``jobs``, in order; two large sectors are solved at once (see
-    :func:`_solve_forked`), any others one after the other."""
+    of ``jobs``, in order.
+
+    Two sectors of at least ``_FORK_MIN_DIM`` states each are solved at
+    the same time when the process can fork, has two CPUs to use and is
+    no ``multiprocessing`` child, such as a gamma-scan pool worker, whose
+    parent already uses them (:func:`_fork_sectors`); any others are
+    solved one after the other.  At once, this process solves the even
+    sector and a ``multiprocessing`` child started by fork the odd one,
+    so the child inherits every input and nothing is serialised on the
+    way in.  The child writes its energies and vectors straight into an
+    anonymous shared mapping, whose views are the odd sector's result,
+    so they do not go through the pipe either: this process would then
+    hold their serialised bytes and the arrays rebuilt from them at once.
+    A one-way pipe carries its report: None on success, else its
+    exception, which is raised here with its type, message and residuals.
+    A child that dies without reporting is an ``EigensolveError`` naming
+    the odd sector and its exit status.  The child is reaped before this
+    returns or raises; if this process's own solve fails, the child is
+    killed first.
+
+    OpenBLAS's fork handler stops its thread pools first, so unless the
+    caller runs threads of its own the process forks with one thread.
+    Both processes then solve on the one BLAS thread that
+    :func:`solve_eigenbasis` set, and since no process sets the count
+    again (see ``_one_blas_thread``) the pools stay stopped.  Each sector
+    is solved by the same code either way, so the bits are the same.
+    """
     for sector, _, op, count in jobs:
         name = ("even", "odd")[sector]
         if spec.model.gamma == 0:
@@ -318,64 +340,38 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
         else:
             ncv = lanczos_ncv(op.dim, count)
             logger.debug("%s sector: dim %d, %d pairs, ncv %d", name, op.dim, count, ncv)
-    if _fork_sectors([op.dim for _, _, op, _ in jobs]):
-        return _solve_forked(spec, basis, *jobs)
-    return [_sector_lowest(spec, basis, *job) for job in jobs]
+    if not _fork_sectors([op.dim for _, _, op, _ in jobs]):
+        return [_sector_lowest(spec, basis, *job) for job in jobs]
 
-
-def _solve_child(report, shared: np.ndarray, spec: ScanSpec, basis: BasisIndex, job) -> None:
-    """:func:`_solve_forked`'s child: solve sector ``job`` into ``shared``
-    (energies, then vectors) and send None, or the exception, to ``report``."""
-    count = job[3]
-    try:
-        eig = _sector_lowest(spec, basis, *job)
-        shared[:count] = eig.energies
-        shared[count:] = eig.vectors.ravel()
-    except Exception as exc:
-        report.send(exc)
-    else:
-        report.send(None)
-
-
-def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenBasis]:
-    """Solve sector job ``here`` in this process and ``there`` in a forked
-    child, at the same time; same bits as solving them in turn.
-
-    The child is a ``multiprocessing`` process started by fork, so it
-    inherits every input and nothing is serialised on the way in.  It
-    writes its energies and vectors into an anonymous shared mapping, so
-    they do not go through the pipe either: this process would then hold
-    their serialised bytes and the arrays rebuilt from them at once.  A
-    one-way pipe carries its report: None on success, else its exception,
-    which is raised here with its type, message and residuals.  A child
-    that dies without reporting is an ``EigensolveError`` naming the
-    sector and its exit status.  The child is reaped before this returns
-    or raises; if this process's own solve fails, the child is killed
-    first.
-
-    OpenBLAS's fork handler stops its thread pools first, so unless the
-    caller runs threads of its own the process forks with one thread.
-    Both processes then solve on the one BLAS thread that
-    :func:`solve_eigenbasis` set, and since no process sets the count
-    again (see ``_one_blas_thread``) the pools stay stopped.
-    """
-    sector, _, op, count = there
+    even, odd = jobs
+    _, _, op, count = odd
     shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
+    theirs = EigenBasis(energies=shared[:count], vectors=shared[count:].reshape(op.dim, count))
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_solve_child, args=(sender, shared, spec, basis, there))
+
+    def solve_odd():
+        try:
+            eig = _sector_lowest(spec, basis, *odd)
+            theirs.energies[:] = eig.energies
+            theirs.vectors[:] = eig.vectors
+        except Exception as exc:
+            sender.send(exc)
+        else:
+            sender.send(None)
+
+    child = context.Process(target=solve_odd)
     child.start()
     # with this process's write end closed, recv() sees EOF once the child is gone
     sender.close()
     try:
-        mine = _sector_lowest(spec, basis, *here)
+        mine = _sector_lowest(spec, basis, *even)
         try:
             report = receiver.recv()
         except EOFError:
             child.join()
             report = EigensolveError(
-                f"{('even', 'odd')[sector]} sector: solver process exited with status "
-                f"{child.exitcode}"
+                f"odd sector: solver process exited with status {child.exitcode}"
             )
     except BaseException:
         child.kill()
@@ -386,9 +382,6 @@ def _solve_forked(spec: ScanSpec, basis: BasisIndex, here, there) -> list[EigenB
     if report is not None:
         # sent by this process's own child
         raise report
-    theirs = EigenBasis(
-        energies=shared[:count].copy(), vectors=shared[count:].reshape(op.dim, count).copy()
-    )
     return [mine, theirs]
 
 
@@ -397,31 +390,26 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     truncated to the selected state count, with the transition matrix.
 
     H commutes with inversion, so each sector H+- = P+- H P+-^T is solved
-    on its own, at half the dim.  A sector's block starts at
-    ``_INITIAL_COUNT`` pairs (or ``spec.nr_override``) and doubles until
+    on its own, at half the dim.  A sector's block starts at the larger
+    of ``_INITIAL_COUNT`` and ``spec.nr_override`` pairs and doubles until
     its top energy lies ``spec.max_order`` laser quanta above the ground
     state, the lowest level of either sector, or it holds the whole
     sector; at the default ``max_order`` one block suffices.  At gamma
-    != 0 :func:`eigensolve_lowest` computes each block with ARPACK (LAPACK
-    only for a block spanning nearly the whole sector).  At gamma = 0
+    != 0 :func:`eigensolve_lowest` computes each block with ARPACK; LAPACK
+    stands in for a block spanning nearly the whole sector, and for a
+    degenerate cluster in a sector of at most ``spec.dense_threshold``
+    states, as degenerate chain levels (v = w = 0, say) give.  At gamma = 0
     the phonons decouple and each level is degenerate over the phonon
     configurations of equal quanta, copies that single-vector Lanczos
     would find only through rounding; the block is then built exactly
     from the chain levels (``_decoupled_lowest``) and checked against
-    H+- like a solver's.  No point of the default grids at N=3, L=3 or
-    4 reaches the ``spec.dense_threshold`` stand-in.  The merged energies choose
+    H+- like a solver's.  The merged energies choose
     ``nr``, and only the kept vectors are lifted back to the site basis.
     x flips the parity, so T between two states of the same sector is
     set to its exact value, 0.  OpenBLAS is first set to one thread for
-    good (see ``_one_blas_thread``), so every mode gives the same bits.
-
-    When both sectors of a block hold at least ``_FORK_MIN_DIM`` states
-    and the process may use two CPUs (a ``multiprocessing`` child, such
-    as a gamma-scan pool worker, never forks: its parent already uses
-    them), the odd sector is solved in a forked child while this process
-    solves the even one.  Each sector is computed by the same code on one
-    BLAS thread either way, so the bits are the same, and the child is
-    reaped before this returns or raises, on every path.
+    good (see ``_one_blas_thread``), so every mode gives the same bits,
+    whether a block's two sectors are solved at once or in turn (see
+    :func:`_solve_sectors`).
     """
     _one_blas_thread()
     omega_l, nr_override = spec.laser.omega_l, spec.nr_override
@@ -502,9 +490,8 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     :func:`run_point`), so a point's bits do not depend on the worker
     count or on the process that computed it.  The one thread is set
     here before the pool forks its workers, so they inherit it and never
-    set it themselves (see ``_one_blas_thread``); a worker, as a
-    ``multiprocessing`` child, solves each point's sectors in turn (see
-    :func:`_fork_sectors`).
+    set it themselves (see ``_one_blas_thread``).  The pool is started by
+    fork wherever ``os.fork`` exists, whatever the default start method.
     """
     gammas = [float(g) for g in spec.gamma_values]
     specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
@@ -514,7 +501,8 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     if workers <= 1:
         return list(map(_try_point, specs, labels))
     _one_blas_thread()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    context = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_try_point, specs, labels))
 
 
@@ -529,15 +517,13 @@ class ConvergenceReport:
     spectral_diffs: tuple[float, ...] = ()
 
 
-def spectral_distance(
-    a: SpectrumResult, b: SpectrumResult, window: tuple[float, float] = CONVERGENCE_WINDOW
-) -> float:
-    """Max-abs difference of the normalized yields over an order window;
-    nan when the window holds no order of the grid, as for a pair of
-    cutoffs that cannot be compared."""
+def spectral_distance(a: SpectrumResult, b: SpectrumResult) -> float:
+    """Max-abs difference of the normalized yields over
+    ``CONVERGENCE_WINDOW``; nan when the window holds no order of the
+    grid, as for a pair of cutoffs that cannot be compared."""
     if a.orders.shape != b.orders.shape or np.abs(a.orders - b.orders).max() > 1e-9:
         raise ValueError("spectra live on different grids")
-    sel = (a.orders >= window[0]) & (a.orders <= window[1])
+    sel = (a.orders >= CONVERGENCE_WINDOW[0]) & (a.orders <= CONVERGENCE_WINDOW[1])
     if not sel.any():
         return float("nan")
     return float(np.abs(a.yield_norm[sel] - b.yield_norm[sel]).max())

@@ -14,10 +14,9 @@ built exactly in ``scan`` and never reaches this module's solver.
 LAPACK (dense, lowest-``count`` subset) stands in where ARPACK cannot
 run, ``count >= dim - 1``, and, up to ``dense_threshold`` states of the
 operator handed in, when the Lanczos result holds a degenerate cluster.
-No point of the default coupling grids at N=3, L=3 or 4 reaches that
-second stand-in any more: there no sector at gamma != 0 holds a cluster
-within 1e-9, and gamma = 0 is exact.  It stays until a benchmark
-change, because the benchmark's smoke workload sets ``dense_threshold``.
+Degenerate chain levels at gamma != 0 (v = w = 0, say) need that second
+stand-in: there Lanczos misses copies of a level.  The default coupling
+grids at N=3, L=3 or 4 hold no cluster within 1e-9 at gamma != 0.
 Every path returns ascending energies, orthonormal vectors with a fixed
 sign convention, and verified residuals (:func:`verified_basis`); every
 failure is an :class:`EigensolveError`.
@@ -127,7 +126,7 @@ def _lapack_lowest(op: SparseOperator, count: int):
     )
 
 
-def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
+def _arpack_lowest(op: SparseOperator, count: int):
     # a fixed start vector makes every call give the same bits; a generic one
     # has weight on every eigenvector of the operator it is handed
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
@@ -138,7 +137,6 @@ def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
             which="SA",
             tol=1e-10,
             ncv=lanczos_ncv(op.dim, count),
-            maxiter=max_iterations,
             v0=v0,
         )
     except ArpackNoConvergence as exc:
@@ -157,10 +155,7 @@ def _arpack_lowest(op: SparseOperator, count: int, max_iterations: int | None):
 
 
 def eigensolve_lowest(
-    op: SparseOperator,
-    count: int,
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-    max_iterations: int | None = None,
+    op: SparseOperator, count: int, dense_threshold: int = DENSE_THRESHOLD_DEFAULT
 ) -> EigenBasis:
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
@@ -182,7 +177,7 @@ def eigensolve_lowest(
     if count >= dim - 1:
         energies, vectors = _lapack_lowest(op, count)
     else:
-        energies, vectors = _arpack_lowest(op, count, max_iterations)
+        energies, vectors = _arpack_lowest(op, count)
         if dim <= dense_threshold and any(
             len(c) > 1 for c in degenerate_clusters(np.sort(energies))
         ):

@@ -225,6 +225,46 @@ def test_pool_workers_keep_one_thread(monkeypatch):
         assert set(counts) <= {1}
 
 
+_FORKSERVER_SCAN = """
+import multiprocessing, os
+from polaron_hhg import scan
+from polaron_hhg.hilbert import ModelParams
+
+_TRY_POINT = scan._try_point
+
+
+def point_and_threads(spec, label):
+    return _TRY_POINT(spec, label), len(os.listdir("/proc/self/task"))
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    scan._try_point = point_and_threads
+    model = ModelParams(n_cells=1, phonon_cutoff=1)
+    spec = scan.ScanSpec(model=model, gamma_values=(-0.02, -0.01))
+    print(*(threads for _, threads in scan.gamma_scan(spec, workers=2)))
+"""
+
+
+def test_pool_workers_keep_one_thread_under_forkserver(tmp_path):
+    # a forkserver worker would not inherit the one-thread setting, and its
+    # first solve would leave it with OpenBLAS's threads; the pool forks
+    _skip_without_blas_pools()
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the forkserver start method")
+    script = tmp_path / "forkserver_scan.py"
+    script.write_text(_FORKSERVER_SCAN)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
 def test_solve_at_once_leaves_one_thread():
     # in a fresh interpreter, after a solve that forked the odd sector
     _skip_without_blas_pools()
@@ -251,8 +291,8 @@ def test_solve_at_once_leaves_one_thread():
 def test_degenerate_window_is_complete(cutoff):
     # at gamma = 0 the levels are the L=1 chain levels dressed with every
     # phonon configuration, so e0 + 2 omega_ph is 21-fold degenerate (and
-    # more levels besides); Lanczos alone keeps only some copies.  At L=4
-    # the sectors (dim 12288) lie above dense_threshold.
+    # more levels besides); Lanczos alone keeps only some copies.  gamma = 0
+    # is built exactly, so dense_threshold plays no part.
     model = ModelParams(gamma=0.0, phonon_cutoff=cutoff)
     eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     chain = ModelParams(phonon_cutoff=1)
@@ -283,6 +323,20 @@ def test_decoupled_solve_with_degenerate_chain_levels(v, w):
     assert np.abs(eig.energies - exact[: eig.nr]).max() <= 1e-12
     parity = np.einsum("im,im->m", eig.vectors[basis.inversion], eig.vectors)
     assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+
+
+def test_degenerate_chain_levels_reach_the_lapack_stand_in():
+    # without hopping every chain level is 2N-fold degenerate at any
+    # coupling; Lanczos misses copies, so on sectors of dim 162 LAPACK
+    # stands in and the window is complete
+    model = ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3)
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    assert eig.nr == 57
+    assert np.abs(eig.energies - exact[:57]).max() <= 1e-12
+    # Lanczos alone misses copies of levels: it keeps 47 states, not all the lowest
+    lanczos = solve_eigenbasis(ScanSpec(model=model, laser=LASER, dense_threshold=0))
+    assert np.abs(lanczos.energies - exact[: lanczos.nr]).max() > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -507,7 +561,7 @@ def test_scan_pool_is_capped_at_the_point_count(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from polaron_hhg.hilbert import BasisIndex, ModelParams
 from polaron_hhg.operators import build_hamiltonian, build_position
@@ -85,11 +86,16 @@ def test_eigensolve_count_validation():
         eigensolve_lowest(h, basis.dim + 1)
 
 
-def test_eigensolve_nonconvergence_error():
+def test_eigensolve_nonconvergence_error(monkeypatch):
+    # one restart is too few for 40 pairs, so ARPACK gives up
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: eigsh(*args, **kwargs, maxiter=1)
+    )
     model = ModelParams(n_cells=2, phonon_cutoff=3)
     h = build_hamiltonian(model, BasisIndex(model))
     with pytest.raises(EigensolveError):
-        eigensolve_lowest(h, 40, dense_threshold=10, max_iterations=1)
+        eigensolve_lowest(h, 40, dense_threshold=10)
 
 
 def test_eigensolve_error_survives_pickling():
