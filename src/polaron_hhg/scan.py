@@ -62,10 +62,11 @@ logger = logging.getLogger(__name__)
 _INITIAL_COUNT = 24
 # smallest sector dim at which the two sectors of a point are solved at
 # once, the odd one in a forked child (see _solve_sectors).  One
-# solve_eigenbasis in a fresh interpreter, process wall / CPU in s, median
-# of 5, serial -> at once, on a 2-CPU host: sector dim 2187 (the paper's
-# point) 0.82 / 1.05 -> 0.76 / 1.09, 4802 0.90 / 1.15 -> 0.77 / 1.17, 8192
-# 1.66 / 1.92 -> 1.24 / 1.92, 12288 2.34 / 2.59 -> 1.69 / 2.59.  Below
+# solve_eigenbasis at gamma -0.024 in a fresh interpreter, process wall /
+# CPU in s, median of 5, serial -> at once, on a 2-CPU host: sector dim
+# 2187 (the paper's point) 0.60 / 0.83 -> 0.61 / 0.88, 4802 0.79 / 1.01 ->
+# 0.79 / 1.05, 8192 1.08 / 1.29 -> 1.00 / 1.39, 12288 1.15 / 1.37 -> 0.94 /
+# 1.34 (1.95 / 2.20 -> 1.40 / 2.34 without the Chebyshev filter).  Below
 # 8192 the wall saved is within the host's drift, and forking at 2187 raised
 # the paper run's CPU time in each of 3 benchmark pairs.
 _FORK_MIN_DIM = 8192
@@ -283,10 +284,13 @@ def _sector_lowest(
 ) -> EigenBasis:
     """Lowest ``count`` pairs of parity sector ``sector`` (projection P,
     operator H = P H P^T): built exactly at gamma = 0, else from
-    :func:`eigensolve_lowest`."""
+    :func:`eigensolve_lowest`, whose levels are expected to span
+    ``spec.max_order`` laser quanta."""
     if spec.model.gamma == 0:
         return _decoupled_lowest(spec.model, basis, sector, projection, op, count)
-    return eigensolve_lowest(op, count, spec.dense_threshold)
+    return eigensolve_lowest(
+        op, count, spec.dense_threshold, span=spec.max_order * spec.laser.omega_l
+    )
 
 
 def _fork_sectors(dims) -> bool:
@@ -395,21 +399,25 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     its top energy lies ``spec.max_order`` laser quanta above the ground
     state, the lowest level of either sector, or it holds the whole
     sector; at the default ``max_order`` one block suffices.  At gamma
-    != 0 :func:`eigensolve_lowest` computes each block with ARPACK; LAPACK
-    stands in for a block spanning nearly the whole sector, and for a
-    degenerate cluster in a sector of at most ``spec.dense_threshold``
-    states, as degenerate chain levels (v = w = 0, say) give.  At gamma = 0
-    the phonons decouple and each level is degenerate over the phonon
-    configurations of equal quanta, copies that single-vector Lanczos
-    would find only through rounding; the block is then built exactly
-    from the chain levels (``_decoupled_lowest``) and checked against
-    H+- like a solver's.  The merged energies choose
-    ``nr``, and only the kept vectors are lifted back to the site basis.
-    x flips the parity, so T between two states of the same sector is
-    set to its exact value, 0.  OpenBLAS is first set to one thread for
-    good (see ``_one_blas_thread``), so every mode gives the same bits,
-    whether a block's two sectors are solved at once or in turn (see
-    :func:`_solve_sectors`).
+    != 0 :func:`eigensolve_lowest` computes each block with ARPACK on a
+    Chebyshev filter of H+- (Zhou & Saad, *SIAM J. Matrix Anal. Appl.*
+    29, 954 (2007); Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, 2nd ed., ch. 8), handed the energy of ``spec.max_order``
+    laser quanta as the span its levels are expected to cover, which
+    places the filter's first cut.  LAPACK stands in for a block spanning
+    nearly the whole sector, and for a degenerate cluster in a sector of
+    at most ``spec.dense_threshold`` states, as degenerate chain levels
+    (v = w = 0, say) give.  At gamma = 0 the phonons decouple and each
+    level is degenerate over the phonon configurations of equal quanta,
+    copies that single-vector Lanczos would find only through rounding;
+    the block is then built exactly from the chain levels
+    (``_decoupled_lowest``) and checked against H+- like a solver's.  The
+    merged energies choose ``nr``, and only the kept vectors are lifted
+    back to the site basis.  x flips the parity, so T between two states
+    of the same sector is set to its exact value, 0.  OpenBLAS is first
+    set to one thread for good (see ``_one_blas_thread``), so every mode
+    gives the same bits, whether a block's two sectors are solved at once
+    or in turn (see :func:`_solve_sectors`).
     """
     _one_blas_thread()
     omega_l, nr_override = spec.laser.omega_l, spec.nr_override

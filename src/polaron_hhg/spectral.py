@@ -1,25 +1,40 @@
 """Lowest eigenpairs of the field-free Hamiltonian and the dipole transition matrix.
 
 Eigenpairs come from ARPACK's implicitly restarted Lanczos (Lehoucq,
-Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998), started from one
-fixed generic vector so that every call gives the same bits, with a
-search space of ``count + 40`` Lanczos vectors (see :func:`lanczos_ncv`).
-The pipeline hands in one chain-inversion parity sector at a time (see
-``scan.solve_eigenbasis``), so no start vector has to reach both the
-even and the odd states.  Single-vector Lanczos finds the extra copies
-of an exactly degenerate level only through rounding; the one regime
-where the pipeline meets such levels, the decoupled point gamma = 0, is
-built exactly in ``scan`` and never reaches this module's solver.
+Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998) run on a Chebyshev
+polynomial filter p(H) instead of H (Y. Zhou & Y. Saad, *SIAM J. Matrix
+Anal. Appl.* 29, 954 (2007); Y. Saad, *Numerical Methods for Large
+Eigenvalue Problems*, 2nd ed., SIAM 2011, ch. 8).  p is at most 1 in
+magnitude over the unwanted part of the spectrum, above a cut, and
+grows steeply below it, so the wanted levels become p's largest
+eigenvalues, well separated from the rest: ARPACK then needs 1-4
+iterations where it needed 14-29, for a few cheap sparse matvecs more
+per Lanczos step.  Energies are the Rayleigh quotients of H.  The cut is
+placed from the caller's energy span and checked after the solve, and
+raised when a level returned does not lie clearly below it (see
+``_arpack_lowest``).  ARPACK starts from one fixed generic vector, so
+every call gives the same bits, with a search space of ``count + 40``
+Lanczos vectors (see :func:`lanczos_ncv`).  The pipeline hands in one
+chain-inversion parity sector at a time (see ``scan.solve_eigenbasis``),
+so no start vector has to reach both the even and the odd states.
+Single-vector Lanczos finds the extra copies of an exactly degenerate
+level only through rounding, which the filter amplifies but does not
+make reliable; the one regime where the pipeline meets such levels by
+default, the decoupled point gamma = 0, is built exactly in ``scan``
+and never reaches this module's solver.
 
-LAPACK (dense, lowest-``count`` subset) stands in where ARPACK cannot
-run, ``count >= dim - 1``, and, up to ``dense_threshold`` states of the
-operator handed in, when the Lanczos result holds a degenerate cluster.
-Degenerate chain levels at gamma != 0 (v = w = 0, say) need that second
-stand-in: there Lanczos misses copies of a level.  The default coupling
-grids at N=3, L=3 or 4 hold no cluster within 1e-9 at gamma != 0.
-Every path returns ascending energies, orthonormal vectors with a fixed
-sign convention, and verified residuals (:func:`verified_basis`); every
-failure is an :class:`EigensolveError`.
+LAPACK (dense, lowest-``count`` subset) stands in where the Lanczos
+search space would hold the whole operator, ``count + 40 >= dim``, and,
+up to ``dense_threshold`` states of the operator handed in, when the
+Lanczos result holds a degenerate cluster.  In the first case Lanczos
+would be a dense solve at greater cost, and the filter cannot help: its
+cut would have to clear nearly the whole spectrum.  Degenerate chain
+levels at gamma != 0 (v = w = 0, say) need the second stand-in: there
+Lanczos can miss copies of a level.  The default coupling grids at N=3,
+L=3 or 4 hold no cluster within 1e-9 at gamma != 0.  Every path returns
+ascending energies, orthonormal vectors with a fixed sign convention,
+and verified residuals (:func:`verified_basis`); every failure is an
+:class:`EigensolveError`.
 """
 
 from __future__ import annotations
@@ -43,6 +58,26 @@ DENSE_THRESHOLD_DEFAULT = 5000
 # 2 count + 1 (49 at 24 pairs) a sector solve near gamma = 0 restarts so
 # often that it takes 3-6 times longer
 _NCV_SLACK = 40
+
+# Degree d of the Chebyshev filter.  Both sectors of N=3, L=4 (dim 12288
+# each) at gamma -0.024 / -0.002, one BLAS thread, s, min of 2: d = 4
+# 0.66 / 0.86, 6 0.46 / 0.77, 8 0.40 / 0.63, 12 0.37 / 0.58, 16 0.43 / 0.74;
+# unfiltered Lanczos 1.36 / 2.52
+_FILTER_DEGREE = 8
+# first cut above E_0, in spans of the caller.  At 1.5 spans of max_order
+# 45 (order 67.5) the 24 pairs of each sector lie below order 54, at most
+# 0.8 of the cut's height: at every gamma != 0 of the N=3, L=3 and L=4
+# grids, and at gamma -0.025 / -0.002 for L=5, -0.025 for L=6
+_CUT_SPANS = 1.5
+# share of the cut's height above E_0 by which every level kept lies below it
+_CUT_MARGIN = 0.05
+# times the cut is raised before the solve fails
+_CUT_RAISES = 3
+# ARPACK iterations allowed under one cut.  At 1.5 spans the sector solves
+# of N=3, L=3 to 6 take 1-4 (4 at gamma -0.002); unfiltered, L=4 took
+# 14-29.  With the cut on a wanted level each iteration gains little, so
+# a small bound wastes little before the cut is raised
+_FILTER_MAXITER = 10
 
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-10
@@ -126,28 +161,103 @@ def _lapack_lowest(op: SparseOperator, count: int):
     )
 
 
-def _arpack_lowest(op: SparseOperator, count: int):
+def _rayleigh(h, vectors: np.ndarray):
+    """Rayleigh quotients v^T H v of unit ``vectors``, and the norms of
+    their residuals H v - (v^T H v) v."""
+    hv = h @ vectors
+    energies = np.einsum("ij,ij->j", vectors, hv)
+    return energies, np.linalg.norm(hv - vectors * energies, axis=0)
+
+
+def _chebyshev_filter(h, cut: float, e_max: float):
+    """p(H) = +-T_d((H - c) / r), c = (e_max + cut) / 2, r = (e_max - cut) / 2,
+    d = ``_FILTER_DEGREE``, by the three-term recurrence.
+
+    Where H's spectrum lies in [cut, e_max], |p| <= 1; below the cut p
+    exceeds 1 and grows as the level falls (the sign makes it positive
+    for odd d), so p's largest eigenvalues belong to H's lowest levels.
+    """
+    c, r = (e_max + cut) / 2, (e_max - cut) / 2
+
+    def apply(x):
+        prev = x.ravel()
+        cur = (h @ prev - c * prev) / r
+        for _ in range(_FILTER_DEGREE - 1):
+            nxt = h @ cur
+            nxt -= c * cur
+            nxt *= 2 / r
+            nxt -= prev
+            prev, cur = cur, nxt
+        return -cur if _FILTER_DEGREE % 2 else cur
+
+    return scipy.sparse.linalg.LinearOperator(h.shape, matvec=apply, dtype=np.float64)
+
+
+def _arpack_lowest(op: SparseOperator, count: int, span: float):
+    """Lowest ``count`` eigenpairs of ``op`` by ARPACK on the Chebyshev
+    filter p(H) of :func:`_chebyshev_filter`, energies as Rayleigh
+    quotients of H.
+
+    The cut starts ``_CUT_SPANS`` spans above E_0, which a 1-pair
+    Lanczos solve estimates, but never above the middle of [E_0, E_max],
+    E_max being H's Gershgorin bound; a ``span`` that is not positive
+    puts it there.  Every level returned must lie below the cut by
+    ``_CUT_MARGIN`` of its height above E_0: a level above the cut has
+    |p| <= 1 and may have been taken in place of a lower one.  If one
+    does not, or ARPACK needs more than ``_FILTER_MAXITER`` iterations,
+    as it does with the cut on a wanted level, the cut's height is
+    doubled, but the cut goes at most halfway to E_max, and the block is
+    solved again, at most ``_CUT_RAISES`` times.
+    """
+    h = op.matrix
     # a fixed start vector makes every call give the same bits; a generic one
     # has weight on every eigenvector of the operator it is handed
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.dim)
     try:
-        return scipy.sparse.linalg.eigsh(
-            op.matrix,
-            k=count,
-            which="SA",
-            tol=1e-10,
-            ncv=lanczos_ncv(op.dim, count),
-            v0=v0,
+        e0 = scipy.sparse.linalg.eigsh(
+            h, k=1, which="SA", tol=1e-6, ncv=min(op.dim, 20), v0=v0,
+            return_eigenvectors=False,
+        )[0]
+        width = abs(h).sum(axis=1).max() - e0
+        # the cut's height above E_0; each raise goes at most halfway to E_max,
+        # where p would lift E_0 beyond what double precision resolves near the cut
+        height = min(_CUT_SPANS * span if span > 0 else np.inf, width / 2)
+        for raises in range(_CUT_RAISES + 1):
+            if raises:
+                height = min(2 * height, (height + width) / 2)
+            cut = e0 + height
+            try:
+                _, vectors = scipy.sparse.linalg.eigsh(
+                    _chebyshev_filter(h, cut, e0 + width),
+                    k=count,
+                    which="LA",
+                    tol=1e-10,
+                    ncv=lanczos_ncv(op.dim, count),
+                    v0=v0,
+                    maxiter=_FILTER_MAXITER,
+                )
+            except ArpackNoConvergence:
+                if raises == _CUT_RAISES:
+                    raise
+                continue
+            energies, residuals = _rayleigh(h, vectors)
+            if energies.max() <= cut - _CUT_MARGIN * height:
+                logger.debug(
+                    "filtered Lanczos: degree %d, cut E_0 + %.4g, top level E_0 + %.4g, "
+                    "%d raises, worst residual %.2e",
+                    _FILTER_DEGREE, height, energies.max() - e0, raises, residuals.max(),
+                )
+                return energies, vectors
+        raise EigensolveError(
+            f"Lanczos kept levels above the cut for k={count}, dim={op.dim} "
+            f"after {_CUT_RAISES} raises",
+            residuals=residuals,
         )
     except ArpackNoConvergence as exc:
-        res = None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            res = np.linalg.norm(
-                op.matrix @ exc.eigenvectors - exc.eigenvectors * exc.eigenvalues,
-                axis=0,
-            )
+        _, residuals = _rayleigh(h, exc.eigenvectors)
         raise EigensolveError(
-            f"Lanczos did not converge for k={count}, dim={op.dim}", residuals=res
+            f"Lanczos did not converge for k={count}, dim={op.dim}",
+            residuals=residuals if residuals.size else None,
         ) from exc
     except ArpackError as exc:
         # ArpackError does not survive pickling, as from a forked sector solve
@@ -155,29 +265,37 @@ def _arpack_lowest(op: SparseOperator, count: int):
 
 
 def eigensolve_lowest(
-    op: SparseOperator, count: int, dense_threshold: int = DENSE_THRESHOLD_DEFAULT
+    op: SparseOperator,
+    count: int,
+    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
+    span: float = np.inf,
 ) -> EigenBasis:
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
-    ARPACK Lanczos from a fixed start vector, in a search space of
-    :func:`lanczos_ncv` vectors, wherever it can run
-    (``count < dim - 1``).  LAPACK takes over where ARPACK cannot give
-    the answer: for ``count >= dim - 1``, and, when ``dim <=
-    dense_threshold``, for a Lanczos result holding a degenerate cluster,
-    whose other copies Lanczos may have missed.  ``dense_threshold`` is
-    compared with the dim of ``op``, which is one parity sector when
-    ``scan.solve_eigenbasis`` calls.  Above it the Lanczos result stands
-    as it is.  Raises :class:`EigensolveError` on non-convergence or bad
-    residuals.
+    ARPACK Lanczos on a Chebyshev filter of the operator, from a fixed
+    start vector, in a search space of :func:`lanczos_ncv` vectors,
+    wherever that space is smaller than the operator (``count + 40 <
+    dim``; see ``_arpack_lowest``).  ``span`` is the energy above the
+    lowest level that the caller expects the ``count`` levels to cover.
+    It places the filter's first cut; the default, no estimate, puts it
+    halfway up the operator's Gershgorin range.  A cut below a wanted
+    level is raised, a bounded number of times.  LAPACK takes over
+    elsewhere, and, when ``dim <= dense_threshold``, for a Lanczos result
+    holding a degenerate cluster, whose other copies Lanczos may have
+    missed.  ``dense_threshold`` is compared with the dim of ``op``,
+    which is one parity sector when ``scan.solve_eigenbasis`` calls.
+    Above it the Lanczos result stands as it is.  Raises
+    :class:`EigensolveError` on non-convergence, on a cut it cannot
+    clear, or on bad residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} outside [1, {dim}]")
 
-    if count >= dim - 1:
+    if lanczos_ncv(dim, count) >= dim:
         energies, vectors = _lapack_lowest(op, count)
     else:
-        energies, vectors = _arpack_lowest(op, count)
+        energies, vectors = _arpack_lowest(op, count, span)
         if dim <= dense_threshold and any(
             len(c) > 1 for c in degenerate_clusters(np.sort(energies))
         ):

@@ -139,6 +139,41 @@ def test_sector_solve_agrees_with_full_lapack(gamma):
         assert np.all(eig.transition[~same] != 0.0)
 
 
+@pytest.mark.parametrize("gamma", [-0.025, -0.002])
+def test_override_past_the_first_cut(gamma):
+    # 60 pairs a sector reach 121 laser quanta above the even sector's
+    # lowest level, past the first cut at 1.5 max_order (67.5): the cut is
+    # raised, and the states kept are still the lowest of the whole space
+    model = replace(ARPACK_MODEL, gamma=gamma)
+    spec = ScanSpec(model=model, laser=LASER, dense_threshold=ARPACK_THRESHOLD, nr_override=60)
+    eig = solve_eigenbasis(spec)
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
+    assert eig.nr == 60
+    assert np.abs(eig.energies - exact[:60]).max() <= 1e-12
+
+
+def test_zero_max_order_keeps_the_ground_state():
+    # a span of 0 gives the filter no height to double, so the first cut
+    # goes halfway up the spectrum instead
+    model = ARPACK_MODEL
+    eig = solve_eigenbasis(
+        ScanSpec(model=model, laser=LASER, dense_threshold=ARPACK_THRESHOLD, max_order=0.0)
+    )
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
+    assert eig.nr == 1
+    assert abs(eig.energies[0] - exact[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("index, nr", [(0, 35), (24, 36)], ids=["gamma-0.05", "gamma-0.002"])
+def test_nr_on_the_paper_grid(index, nr):
+    # the state count of two default couplings at the paper's cutoff, as the
+    # unfiltered Lanczos solver chose it; a level on the max_order boundary
+    # would move it
+    gamma = float(default_gamma_grid()[index])
+    eig = solve_eigenbasis(ScanSpec(model=replace(ModelParams(), gamma=gamma), laser=LASER))
+    assert eig.nr == nr
+
+
 def test_ground_state_is_taken_from_either_sector(monkeypatch):
     # H + delta Pi still commutes with inversion, and it lowers every odd
     # level by 2 delta against the even ones: here far enough that the
@@ -334,7 +369,14 @@ def test_degenerate_chain_levels_reach_the_lapack_stand_in():
     eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     assert eig.nr == 57
     assert np.abs(eig.energies - exact[:57]).max() <= 1e-12
-    # Lanczos alone misses copies of levels: it keeps 47 states, not all the lowest
+    # Lanczos alone can miss copies of levels: at N=3, L=2 (sectors of dim
+    # 192) it keeps 89 states, not the 103 lowest.  At N=2, L=3 the filter
+    # lets it find every copy through rounding, which nothing promises
+    model = replace(model, n_cells=3, phonon_cutoff=2)
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    assert eig.nr == 103
+    assert np.abs(eig.energies - exact[:103]).max() <= 1e-12
     lanczos = solve_eigenbasis(ScanSpec(model=model, laser=LASER, dense_threshold=0))
     assert np.abs(lanczos.energies - exact[: lanczos.nr]).max() > 1e-3
 

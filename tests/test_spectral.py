@@ -1,13 +1,17 @@
 """Eigensolver paths, transition matrix, state selection and relevance ranking."""
 
+import logging
 import pickle
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from polaron_hhg import spectral
 from polaron_hhg.hilbert import BasisIndex, ModelParams
-from polaron_hhg.operators import build_hamiltonian, build_position
+from polaron_hhg.operators import SparseOperator, build_hamiltonian, build_position
+from polaron_hhg.scan import _parity_projections
 from polaron_hhg.spectral import (
     EigenBasis,
     EigensolveError,
@@ -87,15 +91,121 @@ def test_eigensolve_count_validation():
 
 
 def test_eigensolve_nonconvergence_error(monkeypatch):
-    # one restart is too few for 40 pairs, so ARPACK gives up
+    # a degree-1 filter is plain Lanczos, and one restart is too few for 40
+    # pairs, so ARPACK gives up under every cut; the error carries the H
+    # residuals of the pairs it had converged, with their Rayleigh quotients
+    # as energies, not the filter's eigenvalues
+    monkeypatch.setattr(spectral, "_FILTER_DEGREE", 1)
     eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(
-        scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: eigsh(*args, **kwargs, maxiter=1)
+        scipy.sparse.linalg,
+        "eigsh",
+        lambda *args, **kwargs: eigsh(*args, **{**kwargs, "maxiter": 1}),
     )
     model = ModelParams(n_cells=2, phonon_cutoff=3)
     h = build_hamiltonian(model, BasisIndex(model))
-    with pytest.raises(EigensolveError):
+    with pytest.raises(EigensolveError) as info:
         eigensolve_lowest(h, 40, dense_threshold=10)
+    partial = info.value.__cause__.eigenvectors
+    assert partial.shape[1] > 0
+    hv = h.matrix @ partial
+    energies = np.einsum("ij,ij->j", partial, hv)
+    residuals = np.linalg.norm(hv - partial * energies, axis=0)
+    np.testing.assert_allclose(info.value.residuals, residuals, rtol=1e-12, atol=0)
+
+
+def _sector(gamma: float, sector: int = 0) -> SparseOperator:
+    """H of an inversion sector (0 even, 1 odd) of N=2, L=3 (dim 162)."""
+    model = ModelParams(n_cells=2, phonon_cutoff=3, gamma=gamma)
+    basis = BasisIndex(model)
+    p = _parity_projections(basis)[sector]
+    h = build_hamiltonian(model, basis).matrix
+    return SparseOperator(dim=p.shape[0], matrix=(p @ h @ p.T).tocsr())
+
+
+# the energy of 45 laser quanta, the default max_order
+SPAN = 45 * OMEGA_L
+_FILTERED_LINE = re.compile(
+    r"filtered Lanczos: degree 8, cut E_0 \+ \S+, top level E_0 \+ \S+, "
+    r"(\d) raises, worst residual \S+"
+)
+
+
+@pytest.mark.parametrize("gamma", [-0.025, -0.002])
+def test_cut_below_a_wanted_level_is_raised(monkeypatch, caplog, gamma):
+    # the sector's 24th level lies 72 laser quanta above its lowest, and a
+    # first cut at 22.5 holds only a few levels.  There ARPACK converges to
+    # true eigenpairs of H that are not the lowest; the solver sees them
+    # above the cut, raises it and solves again
+    op = _sector(gamma)
+    dense = eigensolve_lowest(op, op.dim).truncated(24)
+    blocks = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def recording(*args, **kwargs):
+        result = eigsh(*args, **kwargs)
+        if kwargs["which"] == "LA":
+            blocks.append(result[1])
+        return result
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    monkeypatch.setattr(spectral, "_CUT_SPANS", 0.5)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
+        eig = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    [record] = caplog.records
+    raises = int(_FILTERED_LINE.fullmatch(record.getMessage()).group(1))
+    assert raises >= 1 and len(blocks) == raises + 1
+    first = blocks[0]
+    wrong = np.einsum("ij,ij->j", first, op.matrix @ first)
+    assert np.linalg.norm(op.matrix @ first - first * wrong, axis=0).max() <= 1e-8
+    assert wrong.max() - dense.energies[-1] > 0.1
+
+    assert np.abs(eig.energies - dense.energies).max() <= 1e-12
+    # subspaces match: cross-gram is unitary block-diagonal over clusters
+    gram = dense.vectors.T @ eig.vectors
+    for cluster in degenerate_clusters(dense.energies):
+        block = gram[np.ix_(cluster, cluster)]
+        assert np.allclose(block @ block.T, np.eye(len(cluster)), atol=1e-10)
+
+
+def test_filtered_solve_logs_one_line(caplog):
+    # at 1.5 spans the cut clears the odd sector's 24 levels at once
+    op = _sector(-0.025, sector=1)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
+        eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert _FILTERED_LINE.fullmatch(record.getMessage()).group(1) == "0"
+    assert "cut E_0 + 0.135," in record.getMessage()
+
+
+def test_cut_never_cleared_is_an_error(monkeypatch):
+    # with the margin the whole height of the cut, no level above E_0 can be
+    # kept: after a bounded number of raises, each solve bounded in restarts,
+    # the solver gives up instead of returning those levels
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append((kwargs["which"], kwargs.get("maxiter")))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+    monkeypatch.setattr(spectral, "_CUT_MARGIN", 1.0)
+    with pytest.raises(EigensolveError, match="above the cut") as info:
+        eigensolve_lowest(_sector(-0.025), 24, dense_threshold=0, span=SPAN)
+    filtered = ("LA", spectral._FILTER_MAXITER)
+    assert calls == [("SA", None)] + [filtered] * (spectral._CUT_RAISES + 1)
+    assert info.value.residuals.shape == (24,)
+
+
+def test_block_of_nearly_the_whole_sector():
+    # the Lanczos space for 160 of 162 levels is the whole sector, and the
+    # filter's cut would have to clear nearly the whole spectrum: LAPACK
+    # solves it
+    op = _sector(-0.025)
+    eig = eigensolve_lowest(op, 160, dense_threshold=0, span=SPAN)
+    assert np.abs(eig.energies - np.linalg.eigvalsh(op.to_dense())[:160]).max() <= 1e-12
 
 
 def test_eigensolve_error_survives_pickling():
