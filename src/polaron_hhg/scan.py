@@ -17,6 +17,9 @@ uses the CPUs.  Either way each sector is solved by the same code on one
 BLAS thread, so the bits are the same, and the child is reaped before the
 solve returns or raises, on every path.  The first solve leaves OpenBLAS
 on one thread for the rest of the process (see ``_one_blas_thread``).
+The kept states are then scattered from the sector bases straight into
+the site basis, and T is summed over row blocks, so the point's
+eigenbasis is assembled without a full-size temporary.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .spectral import (
     DENSE_THRESHOLD_DEFAULT,
     EigenBasis,
     EigensolveError,
-    _fix_phases,
+    _phase_signs,
     eigensolve_lowest,
     harmonic_order,
     lanczos_ncv,
@@ -201,17 +204,24 @@ def _one_blas_thread() -> None:
         put(1)
 
 
+def _orbits(basis: BasisIndex) -> tuple:
+    """(reps, mirrors): the basis states i < Pi(i) in ascending order, the
+    orbit representatives of chain inversion Pi, and their images Pi(i).
+    Pi fixes no basis state, so each array holds half the space."""
+    reps = np.flatnonzero(np.arange(basis.dim) < basis.inversion)
+    return reps, basis.inversion[reps]
+
+
 def _parity_projections(basis: BasisIndex) -> tuple:
     """(P+, P-): the even and odd sectors under chain inversion Pi.
 
     Each is a (dim/2, dim) CSR isometry whose row k is
     (e_i +- e_Pi(i)) / sqrt(2) for the k-th orbit representative
-    i < Pi(i).  Pi fixes no basis state, so the two sectors split the
-    space in equal halves.
+    i < Pi(i) (see :func:`_orbits`), so the two sectors split the space
+    in equal halves.
     """
-    inv = basis.inversion
-    reps = np.flatnonzero(np.arange(basis.dim) < inv)
-    cols = np.column_stack([reps, inv[reps]]).ravel()
+    reps, mirrors = _orbits(basis)
+    cols = np.column_stack([reps, mirrors]).ravel()
     rows = np.arange(0, cols.size + 1, 2)
     amp = np.sqrt(0.5)
     return tuple(
@@ -411,13 +421,24 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     level is degenerate over the phonon configurations of equal quanta,
     copies that single-vector Lanczos would find only through rounding;
     the block is then built exactly from the chain levels
-    (``_decoupled_lowest``) and checked against H+- like a solver's.  The
-    merged energies choose ``nr``, and only the kept vectors are lifted
-    back to the site basis.  x flips the parity, so T between two states
-    of the same sector is set to its exact value, 0.  OpenBLAS is first
-    set to one thread for good (see ``_one_blas_thread``), so every mode
-    gives the same bits, whether a block's two sectors are solved at once
-    or in turn (see :func:`_solve_sectors`).
+    (``_decoupled_lowest``) and checked against H+- like a solver's.
+
+    The merged energies choose ``nr``, and only the kept vectors are
+    lifted back to the site basis.  They get the bits of P+-^T E without
+    the product: each sector's kept columns, scaled by sqrt(1/2), are
+    scattered to the orbit representatives and, times the sector's
+    parity, to their mirrors (see ``_orbits``).  The sign convention of
+    ``verified_basis`` (largest-magnitude component positive, the first
+    in site order among equals) is read off the sector block before the
+    scatter: representatives ascend and each precedes its mirror, so the
+    block's leading entry is the lifted vector's.  T is summed over row
+    blocks (:func:`transition_matrix`), so beyond its result the
+    assembly holds at most one (dim/2, nr) block at a time.  x flips the
+    parity, so T between two states of the same sector is set to its
+    exact value, 0.  OpenBLAS is first set to one thread for good (see
+    ``_one_blas_thread``), so every mode gives the same bits, whether a
+    block's two sectors are solved at once or in turn (see
+    :func:`_solve_sectors`).
     """
     _one_blas_thread()
     omega_l, nr_override = spec.laser.omega_l, spec.nr_override
@@ -440,6 +461,10 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
         if not short:
             break
         jobs = [(k, projections[k], sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short]
+        # let the old blocks go before the solve: held through it, they kept
+        # ~50 MB more resident at N=3, L=6, here and in the forked child
+        for k in short:
+            eigs[k] = None
         for k, eig in zip(short, _solve_sectors(spec, basis, jobs)):
             eigs[k] = eig
 
@@ -450,14 +475,27 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     warn_near_degenerate_ground(energies)
     nr = select_nr(energies, omega_l, spec.max_order, nr_override)
     kept = order[:nr]
+    # P+-^T E, scattered without the product; signs from each sector block
+    reps, mirrors = _orbits(basis)
     vectors = np.empty((basis.dim, nr))
+    signs = np.empty(nr)
     start = 0
-    for p, e in zip(projections, eigs):
+    for parity, e in zip((1.0, -1.0), eigs):
         mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
-        vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
+        block = e.vectors[:, kept[mine] - start]
+        block *= np.sqrt(0.5)
+        signs[mine] = _phase_signs(block)
+        vectors[np.ix_(reps, mine)] = block
+        block *= parity
+        vectors[np.ix_(mirrors, mine)] = block
+        # gone before the next sector's block, and before T
+        del block
         start += e.nr
-    eig = EigenBasis(energies=energies[:nr], vectors=_fix_phases(vectors))
-    eig = with_transition(eig, x)
+    # P+-^T E sums each entry into 0.0, turning -0.0 into 0.0; so does this,
+    # and the bits, signs of zero included, are the product's
+    vectors += 0.0
+    vectors *= signs
+    eig = with_transition(EigenBasis(energies=energies[:nr], vectors=vectors), x)
     # H keeps the parity and x flips it: same-parity entries are exactly 0
     even = kept < eigs[0].nr
     eig.transition[even[:, None] == even] = 0.0

@@ -79,6 +79,10 @@ _CUT_RAISES = 3
 # a small bound wastes little before the cut is raised
 _FILTER_MAXITER = 10
 
+# rows of V per block of T = V^T x V (see transition_matrix): at dim 24576
+# a block's x V is about a fifth of V, and the paper's dim 4374 is one block
+_TRANSITION_ROWS = 5000
+
 _RESIDUAL_TOL = 1e-8
 _ORTHO_TOL = 1e-10
 _DEGENERACY_TOL = 1e-9
@@ -127,12 +131,24 @@ class EigenBasis:
                        vectors=self.vectors[:, :nr], transition=t)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column positive."""
-    lead = np.abs(vectors).argmax(axis=0)
+def _phase_signs(vectors: np.ndarray) -> np.ndarray:
+    """The sign (+1 for a zero column) of each column's largest-magnitude
+    component, the first in row order among equals.
+
+    Taken a column at a time: ``np.abs`` of the whole array, and numpy's
+    argmax down its columns, would each copy it.
+    """
+    lead = np.array([np.abs(col).argmax() for col in vectors.T], dtype=np.intp)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
+
+
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column positive, in
+    place (see :func:`_phase_signs`); returns ``vectors``."""
+    vectors *= _phase_signs(vectors)
+    return vectors
 
 
 def lanczos_ncv(dim: int, count: int) -> int:
@@ -306,7 +322,9 @@ def eigensolve_lowest(
 def verified_basis(op: SparseOperator, energies: np.ndarray, vectors: np.ndarray) -> EigenBasis:
     """Eigenpairs of ``op`` sorted ascending (stable), phase-fixed, and
     checked: residuals within 1e-8 of max(1, |E|) and orthonormality
-    within 1e-10, else :class:`EigensolveError`."""
+    within 1e-10, else :class:`EigensolveError`.  The sort copies
+    ``vectors``, and the phases are fixed in that copy, so the caller's
+    array is left as it was."""
     order = np.argsort(energies, kind="stable")
     energies = np.ascontiguousarray(energies[order])
     vectors = _fix_phases(np.ascontiguousarray(vectors[:, order]))
@@ -324,10 +342,19 @@ def warn_near_degenerate_ground(energies: np.ndarray) -> None:
 
 
 def transition_matrix(eig: EigenBasis, x_op: SparseOperator) -> np.ndarray:
-    """T_mn = <m| x |n> over the retained states; verified symmetric."""
+    """T_mn = <m| x |n> over the retained states; verified symmetric.
+
+    T = V^T x V is summed over blocks of ``_TRANSITION_ROWS`` rows,
+    V_b^T (x_b V), so beyond T only one block's (rows, nr) product is
+    held, not all of x V.  A basis of at most that many states is one
+    block, the plain product.
+    """
     if x_op.dim != eig.dim:
         raise ValueError(f"operator dim {x_op.dim} != basis dim {eig.dim}")
-    t = eig.vectors.T @ (x_op.matrix @ eig.vectors)
+    v, x, step = eig.vectors, x_op.matrix, _TRANSITION_ROWS
+    t = v[:step].T @ (x[:step] @ v)
+    for start in range(step, eig.dim, step):
+        t += v[start:start + step].T @ (x[start:start + step] @ v)
     asym = np.abs(t - t.T).max() if t.size else 0.0
     if asym > 1e-12:
         raise ValueError(f"transition matrix asymmetry {asym:.3e}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polaron_hhg import dynamics
 from polaron_hhg.dynamics import (
     HermiticityError,
     PropagationConfig,
@@ -217,6 +218,32 @@ def test_density_expectation_rejects_nonhermitian():
     a = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     with pytest.raises(HermiticityError):
         density_expectation(a, bad)
+
+
+@pytest.mark.parametrize("first, stride", [(40, 1), (150, 3)], ids=["first-block", "block-7"])
+def test_propagate_names_the_first_complex_density_sample(monkeypatch, first, stride):
+    # with T = 0 the amplitudes only turn: from (e0 + e1) / sqrt2,
+    # a = (1, exp(-i e1 t)) / sqrt2 in the shifted frame, and an operator
+    # D whose (0, 1) entry exceeds its (1, 0) entry by c has
+    # |Im a^dag D a| = c |sin(e1 t)| / 2.  c puts the tolerance between
+    # sample first - 1 and sample first, at step first * stride
+    laser = LaserParams()
+    cfg = PropagationConfig(n_steps=1536, record_stride=stride)
+    dt = laser.t_final() / cfg.n_steps
+    e1 = 1e-4
+    c = 2 * dynamics._HERMITICITY_TOL / np.sin(e1 * (first - 0.5) * stride * dt)
+    eig = _manual_eig([0.0, e1], np.zeros((2, 2)), dim=2)
+    original = dynamics._rotated_densities
+
+    def skewed(eig, basis):
+        ops = original(eig, basis)
+        ops[-1, 0, 1] += c
+        return ops
+
+    monkeypatch.setattr(dynamics, "_rotated_densities", skewed)
+    a0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with pytest.raises(HermiticityError, match=rf"at sample {first}$"):
+        propagate(eig, BasisIndex(TWO_SITE), laser, cfg, a0=a0)
 
 
 def test_rotated_operator_matches_site_basis_route():

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +26,7 @@ from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
     _openblas_thread_controls,
+    _parity_projections,
     PointResult,
     ScanSpec,
     convergence_study,
@@ -36,7 +38,9 @@ from polaron_hhg.scan import (
     spectral_distance,
 )
 from polaron_hhg.spectral import (
+    EigenBasis,
     EigensolveError,
+    _fix_phases,
     degenerate_clusters,
     eigensolve_lowest,
     select_nr,
@@ -172,6 +176,87 @@ def test_nr_on_the_paper_grid(index, nr):
     gamma = float(default_gamma_grid()[index])
     eig = solve_eigenbasis(ScanSpec(model=replace(ModelParams(), gamma=gamma), laser=LASER))
     assert eig.nr == nr
+
+
+@pytest.mark.parametrize("n_cells, cutoff", [(1, 2), (2, 3), (3, 2)])
+def test_parity_projections_put_each_representative_before_its_mirror(n_cells, cutoff):
+    # solve_eigenbasis fixes a lifted vector's sign on its sector block, which
+    # holds the values at the representatives; that picks the same entry
+    # only if representatives ascend and each precedes its mirror
+    basis = BasisIndex(ModelParams(n_cells=n_cells, phonon_cutoff=cutoff))
+    for p, sign in zip(_parity_projections(basis), (1.0, -1.0)):
+        assert np.all(np.diff(p.indptr) == 2)
+        reps, mirrors = p.indices.reshape(-1, 2).T
+        assert np.all(np.diff(reps) > 0)
+        assert np.all(reps < mirrors)
+        assert np.array_equal(mirrors, basis.inversion[reps])
+        assert np.all(p.data.reshape(-1, 2) == np.sqrt(0.5) * np.array([1.0, sign]))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        replace(ARPACK_MODEL, gamma=-0.025),
+        replace(ARPACK_MODEL, gamma=0.0),
+        ModelParams(n_cells=3, phonon_cutoff=2),
+        ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3),
+    ],
+    ids=["N2-L3", "N2-L3-gamma0", "N3-L2", "v-w-0"],
+)
+def test_lift_gives_the_bits_of_the_projection(monkeypatch, model):
+    # the kept vectors are scattered from the sector bases; they must be,
+    # bit for bit and sign of zero included, _fix_phases(P^T E) of the
+    # sector bases the solve found
+    solved = {}
+    original = scan._solve_sectors
+
+    def recording(spec, basis, jobs):
+        eigs = original(spec, basis, jobs)
+        solved.update((job[0], e) for job, e in zip(jobs, eigs))
+        return eigs
+
+    monkeypatch.setattr(scan, "_solve_sectors", recording)
+    eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    basis = BasisIndex(model)
+    eigs = [solved[0], solved[1]]
+    kept = np.argsort(np.concatenate([e.energies for e in eigs]), kind="stable")[: eig.nr]
+    vectors = np.empty((basis.dim, eig.nr))
+    start = 0
+    for p, e in zip(_parity_projections(basis), eigs):
+        mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
+        vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
+        start += e.nr
+    assert eig.vectors.tobytes() == _fix_phases(vectors).tobytes()
+
+
+def test_assembly_holds_the_result_and_one_half_block(monkeypatch):
+    # after the sector solves, at dim 24576 (N=3, L=4) and nr 40, the lift
+    # and T hold at most one (dim/2, nr) block beyond the result, where the
+    # projection product, its phase-fixed copy and x V each held more
+    model = ModelParams(phonon_cutoff=4)
+    half, nr = BasisIndex(model).dim // 2, 40
+    rng = np.random.default_rng(0)
+    bases = [
+        EigenBasis(
+            energies=np.sort(rng.uniform(-1.0, 0.0, nr)),
+            vectors=rng.standard_normal((half, nr)) / np.sqrt(half),
+        )
+        for _ in range(2)
+    ]
+
+    def precomputed(spec, basis, jobs):
+        assert [count for *_, count in jobs] == [nr, nr]
+        tracemalloc.start()
+        return bases
+
+    monkeypatch.setattr(scan, "_solve_sectors", precomputed)
+    try:
+        eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER, nr_override=nr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = eig.energies.nbytes + eig.vectors.nbytes + eig.transition.nbytes
+    assert peak < result + half * nr * 8
 
 
 def test_ground_state_is_taken_from_either_sector(monkeypatch):

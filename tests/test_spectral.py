@@ -3,6 +3,7 @@
 import logging
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,42 @@ def test_transition_matrix_dimension_mismatch():
     other = ModelParams(n_cells=2, phonon_cutoff=1)
     with pytest.raises(ValueError):
         transition_matrix(eig, build_position(other, BasisIndex(other)))
+
+
+def test_transition_matrix_holds_one_row_block_of_x_v():
+    # at dim 24576 (N=3, L=4) and nr 40 the sum over row blocks holds, beyond
+    # T, less than a quarter of V; the plain product V^T (x V) held all of x V
+    model = ModelParams(phonon_cutoff=4)
+    basis = BasisIndex(model)
+    x = build_position(model, basis)
+    nr = 40
+    vectors = np.random.default_rng(0).standard_normal((basis.dim, nr)) / np.sqrt(basis.dim)
+    eig = EigenBasis(energies=np.arange(nr, dtype=float), vectors=vectors)
+    expected = transition_matrix(eig, x)
+    tracemalloc.start()
+    try:
+        t = transition_matrix(eig, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - t.nbytes < vectors.nbytes / 4
+    assert np.array_equal(t, expected)
+    # within one row block T is the plain product, bit for bit
+    rows = spectral._TRANSITION_ROWS
+    small = EigenBasis(energies=eig.energies, vectors=vectors[:rows])
+    x_small = SparseOperator(dim=rows, matrix=x.matrix[:rows, :rows].tocsr())
+    plain = small.vectors.T @ (x_small.matrix @ small.vectors)
+    assert np.array_equal(transition_matrix(small, x_small), plain)
+    # across blocks the sums are regrouped: equal to rounding
+    np.testing.assert_allclose(t, vectors.T @ (x.matrix @ vectors), rtol=0, atol=1e-14)
+
+
+def test_phases_are_fixed_in_place():
+    # the largest magnitude, first in row order among equals, turns positive
+    vectors = np.array([[1.0, 0.0, -2.0], [-3.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+    fixed = spectral._fix_phases(vectors)
+    assert fixed is vectors
+    assert np.array_equal(fixed, [[-1.0, 0.0, 2.0], [3.0, 0.0, -2.0], [-3.0, 0.0, -1.0]])
 
 
 def test_transition_blocked_between_phonon_sectors():
