@@ -8,18 +8,19 @@ value in its model, record per-point failures instead of aborting, and
 gather results by point index so the output is independent of worker
 count and execution order.
 
-A point's two chain-inversion parity sectors are solved at the same
-time when each holds at least ``_FORK_MIN_DIM`` states and the process
-may use two CPUs: the odd sector in a forked ``multiprocessing`` child,
-the even one in the calling process.  A ``multiprocessing`` child, such as
-a gamma-scan pool worker, solves them in turn, since its parent already
-uses the CPUs.  Either way each sector is solved by the same code on one
-BLAS thread, so the bits are the same, and the child is reaped before the
-solve returns or raises, on every path.  The first solve leaves OpenBLAS
-on one thread for the rest of the process (see ``_one_blas_thread``).
-The kept states are then scattered from the sector bases straight into
-the site basis, and T is summed over row blocks, so the point's
-eigenbasis is assembled without a full-size temporary.
+A point's H is sliced into its two chain-inversion parity sectors,
+solved at once when each holds at least ``_FORK_MIN_DIM`` states and the
+process may use two CPUs: the odd one in a forked ``multiprocessing``
+child, the even one in the calling process.  A ``multiprocessing`` child,
+such as a gamma-scan pool worker, solves them in turn, since its parent
+already uses the CPUs.  Either way each sector is solved by the same code
+on one BLAS thread, so the bits are the same, and the child is reaped
+before the solve returns or raises, on every path.  The first solve
+leaves OpenBLAS on one thread for the rest of the process (see
+``_one_blas_thread``).  The kept states are then scattered from the
+sector bases straight into the site basis, and T is summed over row
+blocks, so the point's eigenbasis is assembled without a full-size
+temporary.
 """
 
 from __future__ import annotations
@@ -212,32 +213,20 @@ def _orbits(basis: BasisIndex) -> tuple:
     return reps, basis.inversion[reps]
 
 
-def _parity_projections(basis: BasisIndex) -> tuple:
-    """(P+, P-): the even and odd sectors under chain inversion Pi.
-
-    Each is a (dim/2, dim) CSR isometry whose row k is
-    (e_i +- e_Pi(i)) / sqrt(2) for the k-th orbit representative
-    i < Pi(i) (see :func:`_orbits`), so the two sectors split the space
-    in equal halves.
-    """
-    reps, mirrors = _orbits(basis)
-    cols = np.column_stack([reps, mirrors]).ravel()
-    rows = np.arange(0, cols.size + 1, 2)
-    amp = np.sqrt(0.5)
-    return tuple(
-        scipy.sparse.csr_matrix(
-            (np.tile([amp, sign * amp], reps.size), cols, rows), shape=(reps.size, basis.dim)
-        )
-        for sign in (1.0, -1.0)
-    )
+def _sector_operators(h: SparseOperator, reps, mirrors) -> list[SparseOperator]:
+    """[H+, H-], H[r, r] +- H[r, m] of the even and odd parity sectors (see
+    :func:`solve_eigenbasis`), in canonical CSR."""
+    rows = h.matrix[reps]
+    same, mirrored = rows[:, reps], rows[:, mirrors]
+    return [SparseOperator(dim=reps.size, matrix=m) for m in (same + mirrored, same - mirrored)]
 
 
 def _decoupled_lowest(
-    model: ModelParams, basis: BasisIndex, sector: int, projection, op: SparseOperator, count: int
+    model: ModelParams, basis: BasisIndex, sector: int, op: SparseOperator, count: int
 ) -> EigenBasis:
     """Lowest ``count`` eigenpairs of parity sector ``sector`` (0 even,
-    1 odd; ``projection`` is its P and ``op`` its H) at gamma = 0, built
-    exactly, in sector coordinates.
+    1 odd; ``op`` is its H) at gamma = 0, built exactly, in sector
+    coordinates.
 
     Without coupling H commutes with every site's phonon number, so its
     eigenstates are the 2N-site chain eigenvectors phi_k (parity p_k)
@@ -247,8 +236,9 @@ def _decoupled_lowest(
     The candidates are ordered by chain level (even ones first), then by
     configuration code, and a stable sort by energy picks the lowest, so
     which copy of a degenerate level is kept never depends on rounding.
-    The result is checked against ``op`` like any solver's (see
-    ``verified_basis``).
+    The picked states' sector coordinates (v[r] +- v[m]) / sqrt(2) are
+    gathered from their site vectors v (see :func:`_orbits`) and checked
+    against ``op`` like any solver's (see ``verified_basis``).
     """
     ns = basis.n_sites
     sign = (1.0, -1.0)[sector]
@@ -281,23 +271,28 @@ def _decoupled_lowest(
 
     # a palindrome's two halves add up to |k,n>
     amp = np.where(rev[c] == c, 0.5, np.sqrt(0.5))[:, None] * phi[:, k].T
-    rows = np.arange(count)[:, None]
+    cols = np.arange(count)[:, None]
     sites = np.arange(ns)
-    vectors = np.zeros((count, basis.dim))
-    vectors[rows, c[:, None] * ns + sites] += amp
-    vectors[rows, rev[c][:, None] * ns + sites] += (sign * parity[k])[:, None] * amp
-    return verified_basis(op, energies, projection @ vectors.T)
+    vectors = np.zeros((basis.dim, count))
+    vectors[c[:, None] * ns + sites, cols] += amp
+    vectors[rev[c][:, None] * ns + sites, cols] += (sign * parity[k])[:, None] * amp
+    reps, mirrors = _orbits(basis)
+    coords = np.sqrt(0.5) * vectors[reps]
+    coords += sign * np.sqrt(0.5) * vectors[mirrors]
+    # gone before the checks, which copy the sector block
+    del vectors
+    return verified_basis(op, energies, coords)
 
 
 def _sector_lowest(
-    spec: ScanSpec, basis: BasisIndex, sector: int, projection, op: SparseOperator, count: int
+    spec: ScanSpec, basis: BasisIndex, sector: int, op: SparseOperator, count: int
 ) -> EigenBasis:
-    """Lowest ``count`` pairs of parity sector ``sector`` (projection P,
-    operator H = P H P^T): built exactly at gamma = 0, else from
+    """Lowest ``count`` pairs of parity sector ``sector`` (0 even, 1 odd),
+    whose H is ``op``: built exactly at gamma = 0, else from
     :func:`eigensolve_lowest`, whose levels are expected to span
     ``spec.max_order`` laser quanta."""
     if spec.model.gamma == 0:
-        return _decoupled_lowest(spec.model, basis, sector, projection, op, count)
+        return _decoupled_lowest(spec.model, basis, sector, op, count)
     return eigensolve_lowest(
         op, count, spec.dense_threshold, span=spec.max_order * spec.laser.omega_l
     )
@@ -319,8 +314,8 @@ def _fork_sectors(dims) -> bool:
 
 
 def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenBasis]:
-    """:func:`_sector_lowest` for each ``(sector, projection, op, count)``
-    of ``jobs``, in order.
+    """:func:`_sector_lowest` for each ``(sector, op, count)`` of ``jobs``,
+    in order: the sector (0 even, 1 odd), its H and the pairs wanted.
 
     Two sectors of at least ``_FORK_MIN_DIM`` states each are solved at
     the same time when the process can fork, has two CPUs to use and is
@@ -347,18 +342,18 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     again (see ``_one_blas_thread``) the pools stay stopped.  Each sector
     is solved by the same code either way, so the bits are the same.
     """
-    for sector, _, op, count in jobs:
+    for sector, op, count in jobs:
         name = ("even", "odd")[sector]
         if spec.model.gamma == 0:
             logger.debug("%s sector: dim %d, %d pairs, decoupled", name, op.dim, count)
         else:
             ncv = lanczos_ncv(op.dim, count)
             logger.debug("%s sector: dim %d, %d pairs, ncv %d", name, op.dim, count, ncv)
-    if not _fork_sectors([op.dim for _, _, op, _ in jobs]):
+    if not _fork_sectors([op.dim for _, op, _ in jobs]):
         return [_sector_lowest(spec, basis, *job) for job in jobs]
 
     even, odd = jobs
-    _, _, op, count = odd
+    _, op, count = odd
     shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
     theirs = EigenBasis(energies=shared[:count], vectors=shared[count:].reshape(op.dim, count))
     context = multiprocessing.get_context("fork")
@@ -403,8 +398,13 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     """Lowest states of both chain-inversion parity sectors, merged and
     truncated to the selected state count, with the transition matrix.
 
-    H commutes with inversion, so each sector H+- = P+- H P+-^T is solved
-    on its own, at half the dim.  A sector's block starts at the larger
+    H commutes with inversion, so each sector is solved on its own, at
+    half the dim.  Its H+- = H[r, r] +- H[r, m] is sliced out of H at the
+    orbit representatives r and their mirrors m (see ``_orbits``): in the
+    basis (e_r +- e_m) / sqrt(2) the entry between orbits k and l is
+    (H[r_k, r_l] +- H[r_k, m_l] +- H[m_k, r_l] + H[m_k, m_l]) / 2, and
+    inversion maps the last two terms onto the first two.  H is let go
+    before the sectors are solved.  A sector's block starts at the larger
     of ``_INITIAL_COUNT`` and ``spec.nr_override`` pairs and doubles until
     its top energy lies ``spec.max_order`` laser quanta above the ground
     state, the lowest level of either sector, or it holds the whole
@@ -424,10 +424,9 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     (``_decoupled_lowest``) and checked against H+- like a solver's.
 
     The merged energies choose ``nr``, and only the kept vectors are
-    lifted back to the site basis.  They get the bits of P+-^T E without
-    the product: each sector's kept columns, scaled by sqrt(1/2), are
-    scattered to the orbit representatives and, times the sector's
-    parity, to their mirrors (see ``_orbits``).  The sign convention of
+    lifted back to the site basis: each sector's kept columns, scaled by
+    sqrt(1/2), are scattered to the orbit representatives and, times the
+    sector's parity, to their mirrors.  The sign convention of
     ``verified_basis`` (largest-magnitude component positive, the first
     in site order among equals) is read off the sector block before the
     scatter: representatives ascend and each precedes its mirror, so the
@@ -443,13 +442,12 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     _one_blas_thread()
     omega_l, nr_override = spec.laser.omega_l, spec.nr_override
     basis = BasisIndex(spec.model)
-    h = build_hamiltonian(spec.model, basis)
     x = build_position(spec.model, basis)
-    projections = _parity_projections(basis)
-    sectors = [SparseOperator(dim=p.shape[0], matrix=p @ h.matrix @ p.T) for p in projections]
+    reps, mirrors = _orbits(basis)
+    sectors = _sector_operators(build_hamiltonian(spec.model, basis), reps, mirrors)
 
     count = max(_INITIAL_COUNT, nr_override or 1)
-    jobs = [(k, p, op, min(count, op.dim)) for k, (p, op) in enumerate(zip(projections, sectors))]
+    jobs = [(k, op, min(count, op.dim)) for k, op in enumerate(sectors)]
     eigs = _solve_sectors(spec, basis, jobs)
     while nr_override is None:
         e_gs = min(e.energies[0] for e in eigs)
@@ -460,7 +458,7 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
         ]
         if not short:
             break
-        jobs = [(k, projections[k], sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short]
+        jobs = [(k, sectors[k], min(2 * eigs[k].nr, sectors[k].dim)) for k in short]
         # let the old blocks go before the solve: held through it, they kept
         # ~50 MB more resident at N=3, L=6, here and in the forked child
         for k in short:
@@ -475,8 +473,7 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     warn_near_degenerate_ground(energies)
     nr = select_nr(energies, omega_l, spec.max_order, nr_override)
     kept = order[:nr]
-    # P+-^T E, scattered without the product; signs from each sector block
-    reps, mirrors = _orbits(basis)
+    # the sector blocks scattered to the site basis; signs from each block
     vectors = np.empty((basis.dim, nr))
     signs = np.empty(nr)
     start = 0
@@ -491,8 +488,8 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
         # gone before the next sector's block, and before T
         del block
         start += e.nr
-    # P+-^T E sums each entry into 0.0, turning -0.0 into 0.0; so does this,
-    # and the bits, signs of zero included, are the product's
+    # a sparse product would sum each entry into 0.0, turning -0.0 into 0.0;
+    # so does this, and the bits, signs of zero included, are the product's
     vectors += 0.0
     vectors *= signs
     eig = with_transition(EigenBasis(energies=energies[:nr], vectors=vectors), x)

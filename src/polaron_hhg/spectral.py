@@ -234,7 +234,9 @@ def _arpack_lowest(op: SparseOperator, count: int, span: float):
             h, k=1, which="SA", tol=1e-6, ncv=min(op.dim, 20), v0=v0,
             return_eigenvectors=False,
         )[0]
-        width = abs(h).sum(axis=1).max() - e0
+        # |H| shares the caller's indices: abs(h) would sort them in place
+        magnitudes = scipy.sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), h.shape)
+        width = magnitudes.sum(axis=1).max() - e0
         # the cut's height above E_0; each raise goes at most halfway to E_max,
         # where p would lift E_0 beyond what double precision resolves near the cut
         height = min(_CUT_SPANS * span if span > 0 else np.inf, width / 2)

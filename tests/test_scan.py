@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 import scipy.sparse
 from scipy.sparse.linalg import ArpackError
 
+from parity_reference import parity_projection
 from polaron_hhg import scan
 from polaron_hhg.cli import RunConfig
 from polaron_hhg.dynamics import PropagationConfig
@@ -26,7 +28,8 @@ from polaron_hhg.pulse import LaserParams
 from polaron_hhg.scan import (
     PointFailure,
     _openblas_thread_controls,
-    _parity_projections,
+    _orbits,
+    _sector_operators,
     PointResult,
     ScanSpec,
     convergence_study,
@@ -179,18 +182,51 @@ def test_nr_on_the_paper_grid(index, nr):
 
 
 @pytest.mark.parametrize("n_cells, cutoff", [(1, 2), (2, 3), (3, 2)])
-def test_parity_projections_put_each_representative_before_its_mirror(n_cells, cutoff):
+def test_orbits_put_each_representative_before_its_mirror(n_cells, cutoff):
     # solve_eigenbasis fixes a lifted vector's sign on its sector block, which
     # holds the values at the representatives; that picks the same entry
     # only if representatives ascend and each precedes its mirror
     basis = BasisIndex(ModelParams(n_cells=n_cells, phonon_cutoff=cutoff))
-    for p, sign in zip(_parity_projections(basis), (1.0, -1.0)):
-        assert np.all(np.diff(p.indptr) == 2)
-        reps, mirrors = p.indices.reshape(-1, 2).T
-        assert np.all(np.diff(reps) > 0)
-        assert np.all(reps < mirrors)
-        assert np.array_equal(mirrors, basis.inversion[reps])
-        assert np.all(p.data.reshape(-1, 2) == np.sqrt(0.5) * np.array([1.0, sign]))
+    reps, mirrors = _orbits(basis)
+    assert np.all(np.diff(reps) > 0)
+    assert np.all(reps < mirrors)
+    assert np.array_equal(mirrors, basis.inversion[reps])
+    assert np.array_equal(np.sort(np.concatenate([reps, mirrors])), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("n_cells, cutoff", [(1, 2), (2, 3), (3, 2)])
+def test_sliced_sectors_are_the_projected_hamiltonian(n_cells, cutoff):
+    # H[r, r] +- H[r, m] is P H P^T exactly; the product rounds differently
+    # (its 1/2 is sqrt(1/2) squared), so the entries agree within rounding
+    model = ModelParams(n_cells=n_cells, phonon_cutoff=cutoff, gamma=-0.025)
+    basis = BasisIndex(model)
+    h = build_hamiltonian(model, basis)
+    for sector, op in enumerate(_sector_operators(h, *_orbits(basis))):
+        p = parity_projection(basis, sector)
+        assert op.dim == basis.dim // 2
+        assert op.matrix.has_canonical_format
+        assert np.all(op.matrix.data != 0)
+        assert abs(op.matrix - p @ h.matrix @ p.T).max() <= 1e-15
+
+
+def test_hamiltonian_is_let_go_before_the_sectors_are_solved(monkeypatch):
+    # only the sector operators are read after the slicing; the full H would
+    # otherwise stay resident through both solves, and in the forked child
+    refs = []
+    original_build, original_solve = scan.build_hamiltonian, scan._solve_sectors
+
+    def building(model, basis):
+        h = original_build(model, basis)
+        refs.append(weakref.ref(h.matrix))
+        return h
+
+    def solving(spec, basis, jobs):
+        assert refs and all(ref() is None for ref in refs)
+        return original_solve(spec, basis, jobs)
+
+    monkeypatch.setattr(scan, "build_hamiltonian", building)
+    monkeypatch.setattr(scan, "_solve_sectors", solving)
+    solve_eigenbasis(ScanSpec(model=replace(ARPACK_MODEL, gamma=-0.025), laser=LASER))
 
 
 @pytest.mark.parametrize(
@@ -222,7 +258,8 @@ def test_lift_gives_the_bits_of_the_projection(monkeypatch, model):
     kept = np.argsort(np.concatenate([e.energies for e in eigs]), kind="stable")[: eig.nr]
     vectors = np.empty((basis.dim, eig.nr))
     start = 0
-    for p, e in zip(_parity_projections(basis), eigs):
+    for sector, e in enumerate(eigs):
+        p = parity_projection(basis, sector)
         mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
         vectors[:, mine] = p.T @ e.vectors[:, kept[mine] - start]
         start += e.nr

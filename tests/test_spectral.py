@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from parity_reference import parity_projection
 from polaron_hhg import spectral
 from polaron_hhg.hilbert import BasisIndex, ModelParams
 from polaron_hhg.operators import SparseOperator, build_hamiltonian, build_position
-from polaron_hhg.scan import _parity_projections
 from polaron_hhg.spectral import (
     EigenBasis,
     EigensolveError,
@@ -119,7 +119,7 @@ def _sector(gamma: float, sector: int = 0) -> SparseOperator:
     """H of an inversion sector (0 even, 1 odd) of N=2, L=3 (dim 162)."""
     model = ModelParams(n_cells=2, phonon_cutoff=3, gamma=gamma)
     basis = BasisIndex(model)
-    p = _parity_projections(basis)[sector]
+    p = parity_projection(basis, sector)
     h = build_hamiltonian(model, basis).matrix
     return SparseOperator(dim=p.shape[0], matrix=(p @ h @ p.T).tocsr())
 
@@ -207,6 +207,31 @@ def test_block_of_nearly_the_whole_sector():
     op = _sector(-0.025)
     eig = eigensolve_lowest(op, 160, dense_threshold=0, span=SPAN)
     assert np.abs(eig.energies - np.linalg.eigvalsh(op.to_dense())[:160]).max() <= 1e-12
+
+
+def test_solve_leaves_the_operator_as_it_was():
+    # a SparseOperator is immutable: a solve must not sort the indices of
+    # one handed in unsorted, so a second solve reads the same arrays and
+    # gives the same bits
+    m = _sector(-0.025).matrix
+    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    # each row's entries in reverse order
+    flipped = m.indptr[row] + m.indptr[row + 1] - 1 - np.arange(m.nnz)
+    matrix = scipy.sparse.csr_matrix(
+        (m.data[flipped], m.indices[flipped], m.indptr.copy()), shape=m.shape
+    )
+    assert not matrix.has_sorted_indices
+    op = SparseOperator(dim=m.shape[0], matrix=matrix)
+
+    def arrays():
+        return [a.tobytes() for a in (matrix.indptr, matrix.indices, matrix.data)]
+
+    before = arrays()
+    first = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    assert arrays() == before
+    second = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    assert first.energies.tobytes() == second.energies.tobytes()
+    assert first.vectors.tobytes() == second.vectors.tobytes()
 
 
 def test_eigensolve_error_survives_pickling():
