@@ -13,9 +13,7 @@ from .dynamics import (
     PropagationConfig,
     PropagationDivergedError,
     TimeSeries,
-    density_expectation,
     propagate,
-    rotate_operator,
 )
 from .hilbert import (
     BasisIndex,
@@ -31,8 +29,6 @@ from .operators import (
     build_h_eph,
     build_h_phonon,
     build_hamiltonian,
-    build_number_electron,
-    build_number_phonon,
     build_position,
 )
 from .pulse import LaserParams, electric_field, vector_potential
@@ -84,20 +80,16 @@ __all__ = [
     "build_h_eph",
     "build_h_phonon",
     "build_hamiltonian",
-    "build_number_electron",
-    "build_number_phonon",
     "build_position",
     "convergence_study",
     "correlation_map",
     "default_gamma_grid",
-    "density_expectation",
     "eigensolve_lowest",
     "electric_field",
     "gamma_scan",
     "hann_window",
     "harmonic_order",
     "propagate",
-    "rotate_operator",
     "run_point",
     "select_nr",
     "solve_eigenbasis",

@@ -6,13 +6,16 @@ Runs are driven by a flat INI file with sections [model], [laser],
 ``LaserParams`` and ``PropagationConfig``, and [run] the other fields of
 ``RunConfig``.  Every key is optional and defaults to the field's default,
 the reference parameter set.  Unknown sections or keys are errors.  This
-module only turns the text into values; each settings class checks its
-own values, so the library refuses exactly what the CLI refuses.  All
-artifacts land inside the chosen output directory, each starting with a
-comment header that records the tool version and a hash of the fully
-resolved configuration; the resolved configuration itself is echoed to
-``resolved.ini``, which can be passed back as ``--config`` to repeat the
-run, and a ``manifest.txt`` lists the completed artifacts.
+module only turns the text into values, a ``%`` included as written;
+each settings class checks its own values, so the library refuses
+exactly what the CLI refuses.  All artifacts land inside the ``--out``
+directory (default ``out``), which is not a config key: it names where
+the files go, not what they hold, so identical runs write identical
+files wherever they land.  Each starts with a comment header that
+records the tool version and a hash of the fully resolved
+configuration, which is echoed to ``resolved.ini``; that can be passed
+back as ``--config`` to repeat the run, and a ``manifest.txt`` lists the
+completed artifacts.
 
 Every other artifact is a text table written by :func:`_write_table`:
 comment lines starting with ``# `` (the header, then any notes and the
@@ -24,6 +27,8 @@ The library modules return arrays; this module alone knows the format.
 Each mode returns its tables, ``(name, notes, columns)``, and its failed
 points; :func:`main` alone adds the header, writes and lists each table,
 writes gamma-scan's ``failures.txt`` and reports every failed point.
+A config it refuses, or an output directory it cannot make, is one
+``config error`` or ``output error`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import configparser
 import hashlib
 import sys
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +76,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig(ScanSpec):
-    """A :class:`ScanSpec` plus the settings only the CLI reads."""
+    """A :class:`ScanSpec` plus ``correlate_states``, the one setting only the CLI reads."""
 
-    output_dir: str = "out"
     # None = ground + top-3 coupled, written and read as "auto"
     correlate_states: tuple[int, ...] | None = field(default=None, metadata={"none": "auto"})
 
@@ -141,7 +145,7 @@ def _format_value(f, value) -> str:
 
 def parse_config(path: str | None) -> RunConfig:
     """Read and validate a config file; ``None`` gives the full default set."""
-    parser = configparser.ConfigParser(default_section=_NO_DEFAULT_SECTION)
+    parser = configparser.ConfigParser(default_section=_NO_DEFAULT_SECTION, interpolation=None)
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -178,19 +182,14 @@ def parse_config(path: str | None) -> RunConfig:
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    """Fully resolved configuration as INI text, readable by :func:`parse_config`.
-
-    The output directory is deliberately omitted: it names the
-    destination, not the computation, and keeping it out makes files
-    from identical runs byte-identical wherever they land.
-    """
+    """Fully resolved configuration as INI text, readable by
+    :func:`parse_config`: every key of every section, in field order."""
     lines = []
     for section in _SECTIONS:
         values = cfg if section == "run" else getattr(cfg, section)
         lines.append(f"[{section}]")
         for f, _ in _section_fields(section):
-            if f.name != "output_dir":
-                lines.append(f"{f.name} = {_format_value(f, getattr(values, f.name))}")
+            lines.append(f"{f.name} = {_format_value(f, getattr(values, f.name))}")
         lines.append("")
     return "\n".join(lines)
 
@@ -257,7 +256,8 @@ def _mode_run(cfg, workers):
     ns = ts.electron_density.shape[1]
     names = ["t", "E", "dipole", "norm"]
     names += [f"n_e_{r}" for r in range(ns)] + [f"n_ph_{r}" for r in range(ns)]
-    columns = [ts.times, electric_field(ts.times, cfg.laser), ts.dipole, ts.amplitudes_norm]
+    dipole = ts.dipole_full[:: cfg.propagation.record_stride]
+    columns = [ts.times, electric_field(ts.times, cfg.laser), dipole, ts.amplitudes_norm]
     columns += [*ts.electron_density.T, *ts.phonon_density.T]
     return [
         _levels_table(result.energies, result.relevance),
@@ -334,7 +334,7 @@ def _parse_args(argv):
     )
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", default=None, help="INI config file (defaults apply if omitted)")
-    parser.add_argument("--out", default=None, help="output directory (overrides [run] output_dir)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--workers",
         type=int,
@@ -351,18 +351,20 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
     if args.workers < 1:
         print("workers must be >= 1", file=sys.stderr)
         return 2
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(args.out)
     resolved = resolved_config_text(cfg)
     cfg_hash = hashlib.sha256(resolved.encode()).hexdigest()[:12]
     header = [f"polaron-hhg {__version__}", f"config {cfg_hash}", f"mode {args.mode}"]
-    (outdir / "resolved.ini").write_text(resolved)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "resolved.ini").write_text(resolved)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     manifest = ["resolved.ini"]
     try:
         tables, failures = _MODE_FUNCS[args.mode](cfg, args.workers)

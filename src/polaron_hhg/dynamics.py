@@ -17,11 +17,13 @@ one matvec and one elementwise multiply-add.  Steps run in blocks of
 fixed length: each block forms its step matrices in one product and,
 after its steps, computes the observables from its stored amplitudes.
 
-Observable operators are rotated once into the eigenbasis (dense
-nr x nr), so each recorded sample costs O(nr^2) regardless of the full
-space dimension.  The dipole is recorded at every step, so the
-downstream spectral analysis always sees the full-resolution series no
-matter how sparsely densities are sampled.
+The site densities, the 2N electron projectors and the 2N phonon
+numbers, are rotated once into the eigenbasis (dense nr x nr; see
+``_rotated_densities``), so each recorded sample costs O(nr^2)
+regardless of the full space dimension; :func:`propagate` checks every
+sample's imaginary part itself.  The dipole is recorded at every step,
+so the downstream spectral analysis always sees the full-resolution
+series no matter how sparsely densities are sampled.
 """
 
 from __future__ import annotations
@@ -83,32 +85,19 @@ class TimeSeries:
 
     The sample grid is t_i = i * record_stride * dt for i = 0 .. n_samples-1,
     covering [0, t_final); ``dipole_full`` holds every step on the same
-    convention and feeds the FFT stage.  ``a_final`` are the amplitudes
-    at t_final in the unshifted frame.
+    convention and feeds the FFT stage, so ``dipole_full[::record_stride]``
+    is the dipole on the sample grid.  ``a_final`` are the amplitudes at
+    t_final in the unshifted frame.
     """
 
     times: np.ndarray = field(repr=False)
     amplitudes_norm: np.ndarray = field(repr=False)
-    dipole: np.ndarray = field(repr=False)
     electron_density: np.ndarray = field(repr=False)
     phonon_density: np.ndarray = field(repr=False)
     dipole_full: np.ndarray = field(repr=False)
     dt: float = 0.0
     a_final: np.ndarray = field(default=None, repr=False)
     norm_final: float = 0.0
-
-
-def rotate_operator(eig: EigenBasis, op) -> np.ndarray:
-    """Dense eigenbasis representation V^T O V of a site-basis operator."""
-    return eig.vectors.T @ (op.matrix @ eig.vectors)
-
-
-def density_expectation(a: np.ndarray, rotated_op: np.ndarray) -> float:
-    """Real quadratic form a^dag M a; rejects a measurable imaginary part."""
-    val = np.vdot(a, rotated_op @ a)
-    if abs(val.imag) > _HERMITICITY_TOL:
-        raise HermiticityError(f"imaginary residue {val.imag:.3e}")
-    return float(val.real)
 
 
 def _rotated_densities(eig: EigenBasis, basis: BasisIndex) -> np.ndarray:
@@ -317,7 +306,6 @@ def propagate(
     return TimeSeries(
         times=times,
         amplitudes_norm=norms,
-        dipole=dipole_full[::stride].copy(),
         electron_density=e_dens,
         phonon_density=p_dens,
         dipole_full=dipole_full,

@@ -71,9 +71,6 @@ class ModelParams:
     def n_sites(self) -> int:
         return 2 * self.n_cells
 
-    def total_dim(self) -> int:
-        return total_dim(self)
-
 
 def is_integer(value) -> bool:
     """True for an integer (numpy's included) that is not a bool."""
@@ -105,7 +102,7 @@ def total_dim(params: ModelParams) -> int:
 
 
 class BasisIndex:
-    """Bijection between :class:`BasisState` and dense indices [0, total_dim()).
+    """Bijection between :class:`BasisState` and dense indices [0, dim).
 
     encode/decode use pure integer arithmetic.  The vectorized site and
     occupation tables used by operator assembly are built lazily and

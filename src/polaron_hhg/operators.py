@@ -1,9 +1,11 @@
-"""Sparse assembly of the field-free Hamiltonian and observable operators.
+"""Sparse assembly of the field-free Hamiltonian and the position operator.
 
 All operators are real symmetric and assembled in the site basis fixed
 by :class:`~polaron_hhg.hilbert.BasisIndex`.  Assembly is fully
 vectorized over basis indices; every builder returns an immutable
-:class:`SparseOperator`.
+:class:`SparseOperator`.  The site densities are diagonal in this basis
+and are read straight off the ``BasisIndex`` tables where they are used
+(``dynamics._rotated_densities``, ``scan.correlation_map``).
 """
 
 from __future__ import annotations
@@ -29,16 +31,6 @@ class SparseOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def entries(self):
-        """Yield (row, col, value) for every stored entry, sorted by (row, col)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
-
-    def row_degrees(self) -> np.ndarray:
-        return np.diff(self.matrix.indptr)
 
 
 def _assemble(dim: int, rows, cols, vals) -> SparseOperator:
@@ -120,18 +112,3 @@ def build_position(params: ModelParams, basis: BasisIndex) -> SparseOperator:
     diag = params.d * (basis.electron_sites - center)
     return _diagonal(diag.astype(np.float64))
 
-
-def build_number_electron(site: int, params: ModelParams, basis: BasisIndex) -> SparseOperator:
-    """Projector onto the electron occupying ``site``."""
-    if not 0 <= site < basis.n_sites:
-        raise ValueError(f"electron site {site} outside [0, {basis.n_sites})")
-    diag = (basis.electron_sites == site).astype(np.float64)
-    return _diagonal(diag)
-
-
-def build_number_phonon(site: int, params: ModelParams, basis: BasisIndex) -> SparseOperator:
-    """Occupation-number operator of the oscillator at ``site``."""
-    if not 0 <= site < basis.n_sites:
-        raise ValueError(f"phonon site {site} outside [0, {basis.n_sites})")
-    diag = basis.occupations[site].astype(np.float64)
-    return _diagonal(diag)

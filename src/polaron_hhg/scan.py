@@ -343,12 +343,16 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     is solved by the same code either way, so the bits are the same.
     """
     for sector, op, count in jobs:
-        name = ("even", "odd")[sector]
+        ncv = lanczos_ncv(op.dim, count)
+        # the solver that runs: see _sector_lowest and eigensolve_lowest
         if spec.model.gamma == 0:
-            logger.debug("%s sector: dim %d, %d pairs, decoupled", name, op.dim, count)
+            solver = "decoupled"
+        elif ncv >= op.dim:
+            solver = "lapack"
         else:
-            ncv = lanczos_ncv(op.dim, count)
-            logger.debug("%s sector: dim %d, %d pairs, ncv %d", name, op.dim, count, ncv)
+            solver = f"ncv {ncv}"
+        name = ("even", "odd")[sector]
+        logger.debug("%s sector: dim %d, %d pairs, %s", name, op.dim, count, solver)
     if not _fork_sectors([op.dim for _, op, _ in jobs]):
         return [_sector_lowest(spec, basis, *job) for job in jobs]
 

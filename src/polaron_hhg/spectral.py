@@ -122,14 +122,6 @@ class EigenBasis:
         """Row 0 of ``transition`` (the ground state), or None."""
         return self.transition[0] if self.transition is not None else None
 
-    def truncated(self, nr: int) -> "EigenBasis":
-        """Keep the lowest ``nr`` states (transition matrix sliced if present)."""
-        if not 1 <= nr <= self.nr:
-            raise ValueError(f"nr {nr} outside [1, {self.nr}]")
-        t = self.transition[:nr, :nr] if self.transition is not None else None
-        return replace(self, energies=self.energies[:nr],
-                       vectors=self.vectors[:, :nr], transition=t)
-
 
 def _phase_signs(vectors: np.ndarray) -> np.ndarray:
     """The sign (+1 for a zero column) of each column's largest-magnitude
@@ -317,6 +309,7 @@ def eigensolve_lowest(
         if dim <= dense_threshold and any(
             len(c) > 1 for c in degenerate_clusters(np.sort(energies))
         ):
+            logger.debug("degenerate cluster in the Lanczos result, dim %d: LAPACK stands in", dim)
             energies, vectors = _lapack_lowest(op, count)
     return verified_basis(op, energies, vectors)
 

@@ -7,7 +7,7 @@ import shutil
 import subprocess
 import sys
 import tomllib
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +106,8 @@ def test_missing_file_rejected():
         # a [DEFAULT] section would spread its keys into every section
         ("[DEFAULT]\nv = -0.05\n\n[model]\nw = -0.1\n", "DEFAULT"),
         ("[DEFAULT]\nv = -0.05\n\n[run]\nmax_order = 20\n", "DEFAULT"),
+        # the output directory is --out's alone
+        ("[run]\noutput_dir = elsewhere\n", r"unknown key \[run\] output_dir"),
     ],
 )
 def test_invalid_configs_name_the_offender(tmp_path, snippet, needle):
@@ -127,7 +129,6 @@ gamma = -0.01
 nr_override = 12
 max_order = 30
 dense_threshold = 100
-output_dir = elsewhere
 gamma_values = -0.03, -0.01
 l_values = 1, 3
 correlate_states = 0, 2
@@ -139,7 +140,7 @@ def test_resolved_ini_reads_back_as_the_same_config(tmp_path, text):
     cfg = parse_config(_write(tmp_path, text))
     resolved = resolved_config_text(cfg)
     back = parse_config(_write(tmp_path, resolved, "resolved.ini"))
-    assert replace(back, output_dir=cfg.output_dir) == cfg
+    assert back == cfg
     # the config hash in every artifact header is taken over this text
     assert resolved_config_text(back) == resolved
 
@@ -162,9 +163,8 @@ def test_reader_and_echo_know_the_same_keys(tmp_path):
     assert set(written) == set(classes)
     candidates = {f.name for cls in classes.values() for f in fields(cls)} | {"mystery"}
     for section, cls in classes.items():
-        # every field of the section's class is a key, bar the nested
-        # sections and the output directory, which is not echoed
-        assert written[section] == {f.name for f in fields(cls)} - set(classes) - {"output_dir"}
+        # every field of the section's class is a key, bar the nested sections
+        assert written[section] == {f.name for f in fields(cls)} - set(classes)
         accepted = set()
         for key in candidates:
             try:
@@ -173,8 +173,19 @@ def test_reader_and_echo_know_the_same_keys(tmp_path):
                 if "unknown key" in str(exc):
                     continue
             accepted.add(key)
-        expected = written[section] | ({"output_dir"} if section == "run" else set())
-        assert accepted == expected, section
+        assert accepted == written[section], section
+
+
+@pytest.mark.parametrize("value", ["-0.07%", "%(w)s"])
+def test_percent_signs_are_taken_as_written(tmp_path, capsys, value):
+    # no interpolation: a stray % is no syntax error of its own, and
+    # %(w)s is no reference to w's value; both are values v cannot parse
+    cfg = _write(tmp_path, f"[model]\nw = -0.104\nv = {value}\n")
+    with pytest.raises(ConfigError, match=r"^\[model\] v: cannot parse"):
+        parse_config(cfg)
+    assert main(["levels", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [model] v: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_ini_rejected(tmp_path):
@@ -501,6 +512,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "[model]\ngamma = 1.0\n")
     assert main(["run", "--config", cfg]) == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_unmakeable_output_dir_is_an_output_error(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    assert main(["levels", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept"
 
 
 def test_bad_workers_rejected(tmp_path):

@@ -8,18 +8,10 @@ from polaron_hhg.dynamics import (
     HermiticityError,
     PropagationConfig,
     PropagationDivergedError,
-    TimeSeries,
-    density_expectation,
     propagate,
-    rotate_operator,
 )
-from polaron_hhg.hilbert import BasisIndex, ModelParams
-from polaron_hhg.operators import (
-    build_hamiltonian,
-    build_number_electron,
-    build_number_phonon,
-    build_position,
-)
+from polaron_hhg.hilbert import BasisIndex, BasisState, ModelParams
+from polaron_hhg.operators import build_hamiltonian
 from polaron_hhg.pulse import LaserParams, electric_field
 from polaron_hhg.scan import ScanSpec, solve_eigenbasis
 from polaron_hhg.spectral import EigenBasis
@@ -203,21 +195,33 @@ def test_density_expectation_values_and_sum():
 
 
 def test_vacuum_phonons_in_decoupled_ground_state():
+    # one sample per run: sample 0 is the ground state itself
     model = ModelParams(n_cells=1, phonon_cutoff=3, gamma=0.0)
     basis = BasisIndex(model)
     eig = _eig(model, max_order=120.0)
-    for f in range(2):
-        op = rotate_operator(eig, build_number_phonon(f, model, basis))
-        gs = np.zeros(eig.nr, complex)
-        gs[0] = 1.0
-        assert density_expectation(gs, op) <= 1e-20
+    cfg = PropagationConfig(n_steps=2**14, record_stride=2**14)
+    ts = propagate(eig, basis, LaserParams(), cfg)
+    assert ts.phonon_density.shape == (1, 2)
+    assert ts.phonon_density[0].max() <= 1e-20
 
 
-def test_density_expectation_rejects_nonhermitian():
-    bad = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    a = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    with pytest.raises(HermiticityError):
-        density_expectation(a, bad)
+def test_rotated_densities_are_the_site_occupations():
+    # in the site basis itself (V = 1) the rotated operators are the 2N
+    # electron projectors, which sum to the identity, then the 2N phonon numbers
+    model = ModelParams(n_cells=2, phonon_cutoff=2)
+    basis = BasisIndex(model)
+    eig = EigenBasis(energies=np.zeros(basis.dim), vectors=np.eye(basis.dim))
+    ops = dynamics._rotated_densities(eig, basis)
+    ns = basis.n_sites
+    assert ops.shape == (2 * ns, basis.dim, basis.dim)
+    assert np.array_equal(ops[:ns].sum(axis=0), np.eye(basis.dim))
+    for r in range(ns):
+        assert np.array_equal(ops[r], np.diag(basis.electron_sites == r))
+        assert np.array_equal(ops[ns + r], np.diag(basis.occupations[r]))
+    i = basis.encode(BasisState((1, 0, 0, 0), 0))
+    assert ops[ns, i, i] == 1.0 and ops[ns + 1, i, i] == 0.0
+    vacuum = basis.encode(BasisState((0, 0, 0, 0), 0))
+    assert ops[ns:, vacuum, vacuum].max() == 0.0
 
 
 @pytest.mark.parametrize("first, stride", [(40, 1), (150, 3)], ids=["first-block", "block-7"])
@@ -246,17 +250,24 @@ def test_propagate_names_the_first_complex_density_sample(monkeypatch, first, st
         propagate(eig, BasisIndex(TWO_SITE), laser, cfg, a0=a0)
 
 
-def test_rotated_operator_matches_site_basis_route():
-    model = ModelParams(n_cells=1, phonon_cutoff=2)
+def test_propagated_densities_match_site_basis_route():
+    # one sample per run, so sample 0 is a0: each site's density is the
+    # weight of psi = V a0 on that site's basis states, phonons by quanta
+    model = ModelParams(n_cells=1, phonon_cutoff=3)
     basis = BasisIndex(model)
     eig = _eig(model, max_order=120.0)
-    ts = propagate(eig, basis, LaserParams(), PropagationConfig(n_steps=2**14, record_stride=2**14))
-    a = ts.a_final
-    psi = eig.vectors @ a
-    for r in range(2):
-        rotated = rotate_operator(eig, build_number_electron(r, model, basis))
-        direct = float(np.sum(np.abs(psi) ** 2 * (basis.electron_sites == r)))
-        assert density_expectation(a, rotated) == pytest.approx(direct, abs=1e-12)
+    rng = np.random.default_rng(7)
+    a0 = rng.normal(size=eig.nr) + 1j * rng.normal(size=eig.nr)
+    a0 /= np.linalg.norm(a0)
+    cfg = PropagationConfig(n_steps=2**14, record_stride=2**14)
+    ts = propagate(eig, basis, LaserParams(), cfg, a0=a0)
+    prob = np.abs(eig.vectors @ a0) ** 2
+    electron = np.bincount(basis.electron_sites, weights=prob, minlength=basis.n_sites)
+    phonon = basis.occupations @ prob
+    assert ts.electron_density.shape == ts.phonon_density.shape == (1, basis.n_sites)
+    assert np.abs(ts.electron_density[0] - electron).max() <= 1e-12
+    assert np.abs(ts.phonon_density[0] - phonon).max() <= 1e-12
+    assert phonon.max() > 0.01
 
 
 def test_timeseries_grids():
@@ -273,7 +284,6 @@ def test_timeseries_grids():
         assert ts.times[0] == 0.0
         dt_sample = ts.times[1] - ts.times[0]
         assert dt_sample == pytest.approx(stride * ts.dt, rel=1e-15)
-        assert np.array_equal(ts.dipole, ts.dipole_full[::stride])
         # the sampled densities sit on the rows of the sampled norms
         assert np.abs(ts.electron_density.sum(axis=1) - ts.amplitudes_norm).max() <= 1e-12
 

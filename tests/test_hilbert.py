@@ -125,7 +125,7 @@ def test_phonon_stride_matches_index_shift():
 def test_params_n_sites_and_dim_methods():
     p = _params(3, 3)
     assert p.n_sites() == 6
-    assert p.total_dim() == 4374
+    assert total_dim(p) == 4374
 
 
 @pytest.mark.parametrize(

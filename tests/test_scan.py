@@ -125,7 +125,7 @@ def test_sector_solve_agrees_with_full_lapack(gamma):
     basis = BasisIndex(model)
     dense = eigensolve_lowest(build_hamiltonian(model, basis), basis.dim)
     assert eig.nr == select_nr(dense.energies, LASER.omega_l, spec.max_order)
-    dense = dense.truncated(eig.nr)
+    dense = EigenBasis(energies=dense.energies[: eig.nr], vectors=dense.vectors[:, : eig.nr])
     assert np.abs(dense.energies - eig.energies).max() <= 1e-8
     # subspaces match: cross-gram is unitary block-diagonal over clusters
     gram = dense.vectors.T @ eig.vectors
@@ -503,6 +503,19 @@ def test_degenerate_chain_levels_reach_the_lapack_stand_in():
     assert np.abs(lanczos.energies - exact[: lanczos.nr]).max() > 1e-3
 
 
+def test_lapack_stand_in_is_logged(caplog):
+    # the first point above: every Lanczos block of both sectors, 24 pairs
+    # and then 48, holds a degenerate cluster, and LAPACK replaces each one
+    model = ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
+        solve_eigenbasis(ScanSpec(model=model, laser=LASER))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == 8
+    assert all(line.startswith("filtered Lanczos: ") for line in lines[0::2])
+    stand_in = "degenerate cluster in the Lanczos result, dim 162: LAPACK stands in"
+    assert lines[1::2] == [stand_in] * 4
+
+
 @pytest.mark.parametrize(
     "model, calls",
     [
@@ -548,6 +561,18 @@ def test_sector_solves_are_logged(caplog):
         "odd sector: dim 162, 24 pairs, ncv 64",
         "even sector: dim 162, 24 pairs, decoupled",
         "odd sector: dim 162, 24 pairs, decoupled",
+    ]
+
+
+def test_whole_sector_solves_are_logged_as_lapack(caplog):
+    # at N=2, L=2 a sector holds 32 states: 24 pairs would take a Lanczos
+    # space of the whole sector, so LAPACK solves it
+    spec = ScanSpec(model=ModelParams(n_cells=2, phonon_cutoff=2), laser=LASER)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.scan"):
+        solve_eigenbasis(spec)
+    assert [r.getMessage() for r in caplog.records] == [
+        "even sector: dim 32, 24 pairs, lapack",
+        "odd sector: dim 32, 24 pairs, lapack",
     ]
 
 

@@ -22,7 +22,6 @@ from polaron_hhg.spectral import (
     select_nr,
     state_relevance,
     transition_matrix,
-    with_transition,
 )
 
 OMEGA_L = 0.002
@@ -71,7 +70,8 @@ def test_dense_and_iterative_solvers_agree():
     basis = BasisIndex(model)
     h = build_hamiltonian(model, basis)
     # LAPACK over the whole space (count = dim), ARPACK for 12 pairs
-    dense = eigensolve_lowest(h, basis.dim).truncated(12)
+    dense = eigensolve_lowest(h, basis.dim)
+    dense = EigenBasis(energies=dense.energies[:12], vectors=dense.vectors[:, :12])
     krylov = eigensolve_lowest(h, 12, dense_threshold=100)
     assert np.abs(dense.energies - krylov.energies).max() <= 1e-8
     # subspaces match: cross-gram is unitary block-diagonal over clusters
@@ -139,7 +139,8 @@ def test_cut_below_a_wanted_level_is_raised(monkeypatch, caplog, gamma):
     # true eigenpairs of H that are not the lowest; the solver sees them
     # above the cut, raises it and solves again
     op = _sector(gamma)
-    dense = eigensolve_lowest(op, op.dim).truncated(24)
+    dense = eigensolve_lowest(op, op.dim)
+    dense = EigenBasis(energies=dense.energies[:24], vectors=dense.vectors[:, :24])
     blocks = []
     eigsh = scipy.sparse.linalg.eigsh
 
@@ -373,19 +374,6 @@ def test_state_relevance_requires_transition():
     eig = EigenBasis(energies=np.zeros(2), vectors=np.eye(2))
     with pytest.raises(ValueError):
         state_relevance(eig, OMEGA_L)
-
-
-def test_truncated_slices_consistently():
-    model = ModelParams(n_cells=1, phonon_cutoff=3)
-    basis = BasisIndex(model)
-    eig = with_transition(_solve(model), build_position(model, basis))
-    cut = eig.truncated(4)
-    assert cut.nr == 4
-    assert np.array_equal(cut.energies, eig.energies[:4])
-    assert np.array_equal(cut.transition, eig.transition[:4, :4])
-    assert np.array_equal(cut.gs_transition, eig.gs_transition[:4])
-    with pytest.raises(ValueError):
-        eig.truncated(0)
 
 
 def test_degenerate_clusters_grouping():
