@@ -37,17 +37,19 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-import scipy
+import scipy.linalg
 
 from .dynamics import PropagationConfig, TimeSeries, propagate
 from .hilbert import BasisIndex, ModelParams, is_integer
 from .operators import SparseOperator, build_hamiltonian, build_position
 from .pulse import LaserParams
 from .spectral import (
-    DENSE_THRESHOLD_DEFAULT,
+    _CUT_SPANS,
+    _DEGENERACY_TOL,
     EigenBasis,
     EigensolveError,
     _phase_signs,
+    degenerate_clusters,
     eigensolve_lowest,
     harmonic_order,
     lanczos_ncv,
@@ -89,12 +91,8 @@ class ScanSpec:
 
     One spec is one point: :func:`solve_eigenbasis` and :func:`run_point`
     read every setting they use from it.  ``dense_threshold`` is the
-    largest parity-sector dim (half the space, see
-    :func:`solve_eigenbasis`) at which LAPACK replaces an ARPACK result
-    holding a degenerate cluster (see ``eigensolve_lowest``).  Degenerate
-    chain levels at gamma != 0 (v = w = 0, say) need that stand-in; the
-    default coupling grids at N=3, L=3 or 4 hold no such cluster, and
-    gamma = 0 is built exactly.
+    largest parity-sector dim at which LAPACK may stand in for Lanczos
+    (see ``_sector_lowest``).
     ``gamma_values`` are the couplings of :func:`gamma_scan` and
     ``l_values`` the cutoffs of :func:`convergence_study`; those run one
     point per value, on a copy of the spec whose model holds that value.
@@ -114,7 +112,7 @@ class ScanSpec:
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
     nr_override: int | None = None
     max_order: float = 45.0
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT
+    dense_threshold: int = 5000
     gamma_values: tuple[float, ...] = field(
         default_factory=lambda: tuple(default_gamma_grid().tolist())
     )
@@ -288,14 +286,43 @@ def _sector_lowest(
     spec: ScanSpec, basis: BasisIndex, sector: int, op: SparseOperator, count: int
 ) -> EigenBasis:
     """Lowest ``count`` pairs of parity sector ``sector`` (0 even, 1 odd),
-    whose H is ``op``: built exactly at gamma = 0, else from
-    :func:`eigensolve_lowest`, whose levels are expected to span
-    ``spec.max_order`` laser quanta."""
+    whose H is ``op``, or more; every degenerate level is handled here.
+
+    At gamma = 0 each level is degenerate over the phonon configurations
+    of equal quanta, and the block is built exactly
+    (:func:`_decoupled_lowest`).  Elsewhere :func:`eigensolve_lowest`
+    solves it, its levels expected to span ``spec.max_order`` laser
+    quanta.  Single-vector Lanczos can miss copies of an exactly
+    degenerate level, as degenerate chain levels give (v = w = 0, say).
+    So when a Lanczos block, not a whole-sector LAPACK one, holds a
+    degenerate cluster in a sector of at most ``spec.dense_threshold``
+    states, LAPACK stands in, once: it returns every pair up to the
+    filter's first cut, ``_CUT_SPANS`` spans above the sector's lowest
+    level, and up to the block's top level, which lies at or above the
+    sector's ``count``-th (Cauchy interlacing), so at least ``count``.
+    The cut lies beyond ``spec.max_order`` quanta above the ground state,
+    so the growth loop of :func:`solve_eigenbasis` asks nothing more of
+    the sector unless no level of the window reaches that order; then it
+    doubles the block, as for any other.  A larger sector keeps the
+    Lanczos block, with a warning.  The default coupling grids at N=3,
+    L=3 or 4 hold no cluster within 1e-9 at gamma != 0.
+    """
     if spec.model.gamma == 0:
         return _decoupled_lowest(spec.model, basis, sector, op, count)
-    return eigensolve_lowest(
-        op, count, spec.dense_threshold, span=spec.max_order * spec.laser.omega_l
-    )
+    span = spec.max_order * spec.laser.omega_l
+    eig = eigensolve_lowest(op, count, span)
+    if lanczos_ncv(op.dim, count) == op.dim or len(degenerate_clusters(eig.energies)) == eig.nr:
+        return eig
+    if op.dim > spec.dense_threshold:
+        logger.warning(
+            "%s sector, dim %d: a degenerate cluster is left to Lanczos, which may miss copies",
+            ("even", "odd")[sector], op.dim,
+        )
+        return eig
+    logger.debug("degenerate cluster in the Lanczos result, dim %d: LAPACK stands in", op.dim)
+    upper = max(eig.energies[0] + _CUT_SPANS * span, eig.energies[-1] + _DEGENERACY_TOL)
+    window = scipy.linalg.eigh(op.to_dense(), subset_by_value=(-np.inf, upper), check_finite=False)
+    return verified_basis(op, *window)
 
 
 def _fork_sectors(dims) -> bool:
@@ -317,11 +344,12 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     """:func:`_sector_lowest` for each ``(sector, op, count)`` of ``jobs``,
     in order: the sector (0 even, 1 odd), its H and the pairs wanted.
 
-    Two sectors of at least ``_FORK_MIN_DIM`` states each are solved at
-    the same time when the process can fork, has two CPUs to use and is
-    no ``multiprocessing`` child, such as a gamma-scan pool worker, whose
-    parent already uses them (:func:`_fork_sectors`); any others are
-    solved one after the other.  At once, this process solves the even
+    Two sectors of at least ``_FORK_MIN_DIM`` states each, too large for
+    LAPACK to stand in for (more than ``spec.dense_threshold``), are
+    solved at the same time when the process can fork, has two CPUs to
+    use and is no ``multiprocessing`` child, such as a gamma-scan pool
+    worker, whose parent already uses them (:func:`_fork_sectors`); any
+    others are solved one after the other.  At once, this process solves the even
     sector and a ``multiprocessing`` child started by fork the odd one,
     so the child inherits every input and nothing is serialised on the
     way in.  The child writes its energies and vectors straight into an
@@ -353,7 +381,9 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
             solver = f"ncv {ncv}"
         name = ("even", "odd")[sector]
         logger.debug("%s sector: dim %d, %d pairs, %s", name, op.dim, count, solver)
-    if not _fork_sectors([op.dim for _, op, _ in jobs]):
+    dims = [op.dim for _, op, _ in jobs]
+    # a stand-in window (see _sector_lowest) would not fit the shared mapping
+    if min(dims) <= spec.dense_threshold or not _fork_sectors(dims):
         return [_sector_lowest(spec, basis, *job) for job in jobs]
 
     even, odd = jobs
@@ -418,14 +448,10 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     29, 954 (2007); Saad, *Numerical Methods for Large Eigenvalue
     Problems*, 2nd ed., ch. 8), handed the energy of ``spec.max_order``
     laser quanta as the span its levels are expected to cover, which
-    places the filter's first cut.  LAPACK stands in for a block spanning
-    nearly the whole sector, and for a degenerate cluster in a sector of
-    at most ``spec.dense_threshold`` states, as degenerate chain levels
-    (v = w = 0, say) give.  At gamma = 0 the phonons decouple and each
-    level is degenerate over the phonon configurations of equal quanta,
-    copies that single-vector Lanczos would find only through rounding;
-    the block is then built exactly from the chain levels
-    (``_decoupled_lowest``) and checked against H+- like a solver's.
+    places the filter's first cut.  LAPACK solves a block spanning nearly
+    the whole sector.  Degenerate levels, which single-vector Lanczos can
+    miss copies of, are handled in ``_sector_lowest``: at gamma = 0 the
+    block is built exactly, and elsewhere LAPACK may stand in for it.
 
     The merged energies choose ``nr``, and only the kept vectors are
     lifted back to the site basis: each sector's kept columns, scaled by

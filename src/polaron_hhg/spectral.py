@@ -19,22 +19,16 @@ chain-inversion parity sector at a time (see ``scan.solve_eigenbasis``),
 so no start vector has to reach both the even and the odd states.
 Single-vector Lanczos finds the extra copies of an exactly degenerate
 level only through rounding, which the filter amplifies but does not
-make reliable; the one regime where the pipeline meets such levels by
-default, the decoupled point gamma = 0, is built exactly in ``scan``
-and never reaches this module's solver.
+make reliable; the pipeline decides what to do about such levels (see
+``scan._sector_lowest``), not this module's solver.
 
-LAPACK (dense, lowest-``count`` subset) stands in where the Lanczos
-search space would hold the whole operator, ``count + 40 >= dim``, and,
-up to ``dense_threshold`` states of the operator handed in, when the
-Lanczos result holds a degenerate cluster.  In the first case Lanczos
-would be a dense solve at greater cost, and the filter cannot help: its
-cut would have to clear nearly the whole spectrum.  Degenerate chain
-levels at gamma != 0 (v = w = 0, say) need the second stand-in: there
-Lanczos can miss copies of a level.  The default coupling grids at N=3,
-L=3 or 4 hold no cluster within 1e-9 at gamma != 0.  Every path returns
-ascending energies, orthonormal vectors with a fixed sign convention,
-and verified residuals (:func:`verified_basis`); every failure is an
-:class:`EigensolveError`.
+LAPACK (dense, lowest-``count`` subset) solves where the Lanczos search
+space would hold the whole operator, ``count + 40 >= dim``: there Lanczos
+would be a dense solve at greater cost, and the filter cannot help,
+since its cut would have to clear nearly the whole spectrum.
+Every path returns ascending energies, orthonormal vectors with a fixed
+sign convention, and verified residuals (:func:`verified_basis`); every
+failure is an :class:`EigensolveError`.
 """
 
 from __future__ import annotations
@@ -50,9 +44,6 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 from .operators import SparseOperator
 
 logger = logging.getLogger(__name__)
-
-# largest dim at which LAPACK may stand in for ARPACK on a degenerate result
-DENSE_THRESHOLD_DEFAULT = 5000
 
 # Lanczos vectors beyond the wanted pairs: with scipy's default of
 # 2 count + 1 (49 at 24 pairs) a sector solve near gamma = 0 restarts so
@@ -274,44 +265,26 @@ def _arpack_lowest(op: SparseOperator, count: int, span: float):
         raise EigensolveError(f"ARPACK failed for k={count}, dim={op.dim}: {exc}") from exc
 
 
-def eigensolve_lowest(
-    op: SparseOperator,
-    count: int,
-    dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-    span: float = np.inf,
-) -> EigenBasis:
+def eigensolve_lowest(op: SparseOperator, count: int, span: float = np.inf) -> EigenBasis:
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
     ARPACK Lanczos on a Chebyshev filter of the operator, from a fixed
     start vector, in a search space of :func:`lanczos_ncv` vectors,
     wherever that space is smaller than the operator (``count + 40 <
-    dim``; see ``_arpack_lowest``).  ``span`` is the energy above the
-    lowest level that the caller expects the ``count`` levels to cover.
-    It places the filter's first cut; the default, no estimate, puts it
-    halfway up the operator's Gershgorin range.  A cut below a wanted
-    level is raised, a bounded number of times.  LAPACK takes over
-    elsewhere, and, when ``dim <= dense_threshold``, for a Lanczos result
-    holding a degenerate cluster, whose other copies Lanczos may have
-    missed.  ``dense_threshold`` is compared with the dim of ``op``,
-    which is one parity sector when ``scan.solve_eigenbasis`` calls.
-    Above it the Lanczos result stands as it is.  Raises
+    dim``; see ``_arpack_lowest``), and LAPACK elsewhere.  ``span`` is the
+    energy above the lowest level that the caller expects the ``count``
+    levels to cover.  It places the filter's first cut; the default, no
+    estimate, puts it halfway up the operator's Gershgorin range.  A cut
+    below a wanted level is raised, a bounded number of times.  Raises
     :class:`EigensolveError` on non-convergence, on a cut it cannot
     clear, or on bad residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} outside [1, {dim}]")
-
     if lanczos_ncv(dim, count) >= dim:
-        energies, vectors = _lapack_lowest(op, count)
-    else:
-        energies, vectors = _arpack_lowest(op, count, span)
-        if dim <= dense_threshold and any(
-            len(c) > 1 for c in degenerate_clusters(np.sort(energies))
-        ):
-            logger.debug("degenerate cluster in the Lanczos result, dim %d: LAPACK stands in", dim)
-            energies, vectors = _lapack_lowest(op, count)
-    return verified_basis(op, energies, vectors)
+        return verified_basis(op, *_lapack_lowest(op, count))
+    return verified_basis(op, *_arpack_lowest(op, count, span))
 
 
 def verified_basis(op: SparseOperator, energies: np.ndarray, vectors: np.ndarray) -> EigenBasis:

@@ -430,7 +430,7 @@ def test_solve_at_once_leaves_one_thread():
         "from polaron_hhg.hilbert import ModelParams; "
         "model = ModelParams(n_cells=2, phonon_cutoff=3); "
         "assert scan._fork_sectors([1, 1]); "
-        "scan.solve_eigenbasis(scan.ScanSpec(model=model)); "
+        "scan.solve_eigenbasis(scan.ScanSpec(model=model, dense_threshold=0)); "
         "print(len(os.listdir('/proc/self/task')))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -482,7 +482,7 @@ def test_decoupled_solve_with_degenerate_chain_levels(v, w):
     assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
 
 
-def test_degenerate_chain_levels_reach_the_lapack_stand_in():
+def test_degenerate_chain_levels_reach_the_lapack_stand_in(caplog):
     # without hopping every chain level is 2N-fold degenerate at any
     # coupling; Lanczos misses copies, so on sectors of dim 162 LAPACK
     # stands in and the window is complete
@@ -492,28 +492,69 @@ def test_degenerate_chain_levels_reach_the_lapack_stand_in():
     assert eig.nr == 57
     assert np.abs(eig.energies - exact[:57]).max() <= 1e-12
     # Lanczos alone can miss copies of levels: at N=3, L=2 (sectors of dim
-    # 192) it keeps 89 states, not the 103 lowest.  At N=2, L=3 the filter
-    # lets it find every copy through rounding, which nothing promises
+    # 192) it keeps 89 states, not the 103 lowest, and says so.  At N=2,
+    # L=3 the filter lets it find every copy through rounding, which
+    # nothing promises
     model = replace(model, n_cells=3, phonon_cutoff=2)
     exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
     eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER))
     assert eig.nr == 103
     assert np.abs(eig.energies - exact[:103]).max() <= 1e-12
-    lanczos = solve_eigenbasis(ScanSpec(model=model, laser=LASER, dense_threshold=0))
+    with caplog.at_level(logging.WARNING, logger="polaron_hhg.scan"):
+        lanczos = solve_eigenbasis(ScanSpec(model=model, laser=LASER, dense_threshold=0))
     assert np.abs(lanczos.energies - exact[: lanczos.nr]).max() > 1e-3
+    warned = {r.getMessage() for r in caplog.records if r.name == "polaron_hhg.scan"}
+    assert warned == {
+        f"{name} sector, dim 192: a degenerate cluster is left to Lanczos, which may miss copies"
+        for name in ("even", "odd")
+    }
+
+
+def _stand_in_log(caplog) -> list:
+    """The filtered Lanczos and stand-in lines of ``caplog``, in order."""
+    return [
+        r.getMessage()
+        for r in caplog.records
+        if r.getMessage().startswith("filtered Lanczos: ") or "LAPACK stands in" in r.getMessage()
+    ]
 
 
 def test_lapack_stand_in_is_logged(caplog):
-    # the first point above: every Lanczos block of both sectors, 24 pairs
-    # and then 48, holds a degenerate cluster, and LAPACK replaces each one
+    # the first point above: the first Lanczos block of each sector, 24
+    # pairs, holds a degenerate cluster, and LAPACK replaces it once with
+    # every level up to 1.5 spans, which leaves the growth loop nothing to ask
     model = ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3)
-    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg"):
         solve_eigenbasis(ScanSpec(model=model, laser=LASER))
-    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert len(lines) == 8
+    lines = _stand_in_log(caplog)
+    assert len(lines) == 4
     assert all(line.startswith("filtered Lanczos: ") for line in lines[0::2])
     stand_in = "degenerate cluster in the Lanczos result, dim 162: LAPACK stands in"
-    assert lines[1::2] == [stand_in] * 4
+    assert lines[1::2] == [stand_in] * 2
+
+
+def test_lapack_stand_in_keeps_the_pairs_asked_for(caplog):
+    # at max_order 20 the stand-in's window, 1.5 spans above each sector's
+    # lowest level, holds 20 levels of N=2, L=3 in all; 60 pairs are asked
+    # of each sector (dim 162, so Lanczos runs first), and all 60 lowest are kept
+    model = ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3)
+    exact = np.linalg.eigvalsh(build_hamiltonian(model, BasisIndex(model)).to_dense())
+    assert np.count_nonzero(exact <= exact[0] + 1.5 * 20 * LASER.omega_l) == 20
+    spec = ScanSpec(model=model, laser=LASER, max_order=20.0, nr_override=60)
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg"):
+        eig = solve_eigenbasis(spec)
+    assert sum("LAPACK stands in" in line for line in _stand_in_log(caplog)) == 2
+    assert eig.nr == 60
+    assert np.abs(eig.energies - exact[:60]).max() <= 1e-12
+
+
+def test_default_grid_reaches_no_stand_in(gamma_results):
+    # the stand-in is for degenerate chain levels: no point of the default
+    # N=3, L=3 grid off gamma = 0 keeps a degenerate cluster
+    for gamma, result in zip(default_gamma_grid(), gamma_results):
+        assert isinstance(result, PointResult)
+        if gamma != 0:
+            assert len(degenerate_clusters(result.energies, 1e-9)) == result.nr
 
 
 @pytest.mark.parametrize(
@@ -536,7 +577,8 @@ def test_one_lanczos_call_per_sector(monkeypatch, caplog, model, calls):
         counts.append(count)
         return original(op, count, *args, **kwargs)
 
-    spec = ScanSpec(model=model, laser=LASER)
+    # no sector LAPACK could stand in for, so sectors of every dim may fork
+    spec = ScanSpec(model=model, laser=LASER, dense_threshold=0)
     with monkeypatch.context() as m:
         m.setattr(scan, "_fork_sectors", lambda dims: False)
         m.setattr(scan, "eigensolve_lowest", counting)
@@ -616,6 +658,17 @@ def test_sectors_solved_at_once_give_the_same_bits(monkeypatch, gamma):
     assert np.array_equal(forked.vectors, serial.vectors)
     assert np.array_equal(forked.transition, serial.transition)
     _assert_no_child_left(forks)
+
+
+def test_sectors_lapack_may_stand_in_for_are_solved_in_turn(monkeypatch):
+    # a stand-in window holds more pairs than asked, which the forked
+    # child's shared mapping, sized for the pairs asked, could not take
+    model = ModelParams(v=0.0, w=0.0, gamma=-0.025, n_cells=2, phonon_cutoff=3)
+    spec = ScanSpec(model=model, laser=LASER)
+    serial = solve_eigenbasis(spec)
+    forks = _forking(monkeypatch)
+    assert np.array_equal(solve_eigenbasis(spec).energies, serial.energies)
+    assert forks == []
 
 
 def test_forked_sector_failure_reaches_the_caller(monkeypatch):

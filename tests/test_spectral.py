@@ -72,7 +72,7 @@ def test_dense_and_iterative_solvers_agree():
     # LAPACK over the whole space (count = dim), ARPACK for 12 pairs
     dense = eigensolve_lowest(h, basis.dim)
     dense = EigenBasis(energies=dense.energies[:12], vectors=dense.vectors[:, :12])
-    krylov = eigensolve_lowest(h, 12, dense_threshold=100)
+    krylov = eigensolve_lowest(h, 12)
     assert np.abs(dense.energies - krylov.energies).max() <= 1e-8
     # subspaces match: cross-gram is unitary block-diagonal over clusters
     gram = np.abs(dense.vectors.T @ krylov.vectors)
@@ -106,7 +106,7 @@ def test_eigensolve_nonconvergence_error(monkeypatch):
     model = ModelParams(n_cells=2, phonon_cutoff=3)
     h = build_hamiltonian(model, BasisIndex(model))
     with pytest.raises(EigensolveError) as info:
-        eigensolve_lowest(h, 40, dense_threshold=10)
+        eigensolve_lowest(h, 40)
     partial = info.value.__cause__.eigenvectors
     assert partial.shape[1] > 0
     hv = h.matrix @ partial
@@ -153,7 +153,7 @@ def test_cut_below_a_wanted_level_is_raised(monkeypatch, caplog, gamma):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
     monkeypatch.setattr(spectral, "_CUT_SPANS", 0.5)
     with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
-        eig = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+        eig = eigensolve_lowest(op, 24, span=SPAN)
     [record] = caplog.records
     raises = int(_FILTERED_LINE.fullmatch(record.getMessage()).group(1))
     assert raises >= 1 and len(blocks) == raises + 1
@@ -174,7 +174,7 @@ def test_filtered_solve_logs_one_line(caplog):
     # at 1.5 spans the cut clears the odd sector's 24 levels at once
     op = _sector(-0.025, sector=1)
     with caplog.at_level(logging.DEBUG, logger="polaron_hhg.spectral"):
-        eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+        eigensolve_lowest(op, 24, span=SPAN)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     assert _FILTERED_LINE.fullmatch(record.getMessage()).group(1) == "0"
@@ -195,7 +195,7 @@ def test_cut_never_cleared_is_an_error(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
     monkeypatch.setattr(spectral, "_CUT_MARGIN", 1.0)
     with pytest.raises(EigensolveError, match="above the cut") as info:
-        eigensolve_lowest(_sector(-0.025), 24, dense_threshold=0, span=SPAN)
+        eigensolve_lowest(_sector(-0.025), 24, span=SPAN)
     filtered = ("LA", spectral._FILTER_MAXITER)
     assert calls == [("SA", None)] + [filtered] * (spectral._CUT_RAISES + 1)
     assert info.value.residuals.shape == (24,)
@@ -206,7 +206,7 @@ def test_block_of_nearly_the_whole_sector():
     # filter's cut would have to clear nearly the whole spectrum: LAPACK
     # solves it
     op = _sector(-0.025)
-    eig = eigensolve_lowest(op, 160, dense_threshold=0, span=SPAN)
+    eig = eigensolve_lowest(op, 160, span=SPAN)
     assert np.abs(eig.energies - np.linalg.eigvalsh(op.to_dense())[:160]).max() <= 1e-12
 
 
@@ -228,9 +228,9 @@ def test_solve_leaves_the_operator_as_it_was():
         return [a.tobytes() for a in (matrix.indptr, matrix.indices, matrix.data)]
 
     before = arrays()
-    first = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    first = eigensolve_lowest(op, 24, span=SPAN)
     assert arrays() == before
-    second = eigensolve_lowest(op, 24, dense_threshold=0, span=SPAN)
+    second = eigensolve_lowest(op, 24, span=SPAN)
     assert first.energies.tobytes() == second.energies.tobytes()
     assert first.vectors.tobytes() == second.vectors.tobytes()
 

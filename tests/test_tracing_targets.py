@@ -53,3 +53,40 @@ def test_workload_configs_parse(monkeypatch, tmp_path, smoke):
         for p in itertools.islice(passes(0, smoke=smoke), 14):
             path.write_text(p.config)
             assert isinstance(parse_config(str(path)), RunConfig), name
+
+
+# point_metrics of a traced run at N=2, L=3 (dim 324), gamma != 0: one
+# 24-pair block per parity sector
+COUNTERS = {
+    "spectral.eigensolve_calls": 2,
+    "spectral.pairs_computed": 48,
+    "operators.nnz": 1242,
+    "hilbert.dim": 324,
+    "dynamics.steps": 16384,
+    "dynamics.samples": 256,
+}
+
+
+def test_tracer_counts_a_traced_run(monkeypatch, tmp_path):
+    # the counters read the wrapped calls' arguments and results, so a
+    # changed signature, such as eigensolve_lowest's, shifts what they read
+    tracing = _load(monkeypatch, "tracing")
+    config = tmp_path / "config.ini"
+    config.write_text(
+        "[model]\nn_cells = 2\nphonon_cutoff = 3\n\n"
+        "[propagation]\nn_steps = 16384\nrecord_stride = 64\n\n"
+        "[run]\nmax_order = 20\n"
+    )
+    tracer = tracing.Tracer()
+    tracer.install(polaron_hhg)
+    try:
+        status, _ = tracer.call(
+            "cli.main", "cli", polaron_hhg.cli.main,
+            ["run", "--config", str(config), "--out", str(tmp_path / "out")],
+        )
+    finally:
+        tracer.uninstall()
+    assert status == 0
+    metrics = tracing.point_metrics(tracer.spans)
+    assert {name: metrics[name] for name in COUNTERS} == COUNTERS
+
