@@ -215,7 +215,7 @@ def propagate(
 
     eps = eig.energies - eig.energies[0]
     spread = np.abs(eps).max()
-    if dt * spread > _STABILITY_LIMIT:
+    if not dt * spread <= _STABILITY_LIMIT:
         raise ValueError(
             f"stability guard violated: dt*max|e-e_gs| = {dt * spread:.3f} > {_STABILITY_LIMIT}"
         )
@@ -227,7 +227,7 @@ def propagate(
         a = np.asarray(a0, dtype=np.complex128).copy()
         if a.shape != (nr,):
             raise ValueError(f"a0 shape {a.shape} != ({nr},)")
-        if abs(np.vdot(a, a).real - 1.0) > 1e-8:
+        if not abs(np.vdot(a, a).real - 1.0) <= 1e-8:
             raise ValueError("a0 is not normalized")
 
     t_mat = np.asarray(eig.transition, dtype=np.float64)
@@ -284,7 +284,7 @@ def propagate(
             np.einsum("sj,skj->sk", pair[:, 1], z[:, 0])
             - np.einsum("sj,skj->sk", pair[:, 0], z[:, 1])
         ).max(axis=1, initial=0.0)
-        complex_rows = np.flatnonzero(residue > _HERMITICITY_TOL)
+        complex_rows = np.flatnonzero(~(residue <= _HERMITICITY_TOL))
         # a sample is checked before the step out of it, as step by step
         if complex_rows.size and (not diverged.size or rows[complex_rows[0]] <= diverged[0]):
             k = complex_rows[0]

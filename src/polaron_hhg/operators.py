@@ -26,21 +26,24 @@ class SparseOperator:
     dropped, so ``matrix`` holds one entry per nonzero coordinate.
     """
 
-    dim: int
     matrix: sparse.csr_matrix = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
 def _assemble(dim: int, rows, cols, vals) -> SparseOperator:
-    rows = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows]) if rows else np.empty(0, np.int64)
-    cols = np.concatenate([np.asarray(c, dtype=np.int64) for c in cols]) if cols else np.empty(0, np.int64)
-    vals = np.concatenate([np.asarray(v, dtype=np.float64) for v in vals]) if vals else np.empty(0, np.float64)
+    rows = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
+    cols = np.concatenate([np.asarray(c, dtype=np.int64) for c in cols])
+    vals = np.concatenate([np.asarray(v, dtype=np.float64) for v in vals])
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
-    return SparseOperator(dim=dim, matrix=mat)
+    return SparseOperator(mat)
 
 
 def _diagonal(diag: np.ndarray) -> SparseOperator:
@@ -103,7 +106,7 @@ def build_hamiltonian(params: ModelParams, basis: BasisIndex) -> SparseOperator:
         + build_h_phonon(params, basis).matrix
         + build_h_eph(params, basis).matrix
     )
-    return SparseOperator(dim=basis.dim, matrix=h)
+    return SparseOperator(h)
 
 
 def build_position(params: ModelParams, basis: BasisIndex) -> SparseOperator:

@@ -15,12 +15,17 @@ child, the even one in the calling process.  A ``multiprocessing`` child,
 such as a gamma-scan pool worker, solves them in turn, since its parent
 already uses the CPUs.  Either way each sector is solved by the same code
 on one BLAS thread, so the bits are the same, and the child is reaped
-before the solve returns or raises, on every path.  The first solve
-leaves OpenBLAS on one thread for the rest of the process (see
-``_one_blas_thread``).  The kept states are then scattered from the
-sector bases straight into the site basis, and T is summed over row
-blocks, so the point's eigenbasis is assembled without a full-size
-temporary.
+before the solve returns or raises, on every path.  The kept states are
+then scattered from the sector bases straight into the site basis, and
+T is summed over row blocks, so the point's eigenbasis is assembled
+without a full-size temporary.
+
+Importing this module sets every bundled OpenBLAS to one thread, for
+good, so every mode gives the same bits: serial, with a point's sectors
+solved at once, or in a gamma-scan pool.  Every process the package
+forks starts after the import, so it inherits the count and never sets
+it: after a fork a set call would restart the thread pools that
+OpenBLAS's fork handler stopped, and their new threads would spin.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .spectral import (
     _DEGENERACY_TOL,
     EigenBasis,
     EigensolveError,
-    _phase_signs,
     degenerate_clusters,
     eigensolve_lowest,
     harmonic_order,
@@ -189,18 +193,9 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@cache
-def _one_blas_thread() -> None:
-    """Set every bundled OpenBLAS to one thread, for good.
-
-    The count is never restored: after its first solve a process keeps
-    OpenBLAS on one thread, and so do the processes it forks later, which
-    inherit the count and this cache and so never call the setter.  After
-    a fork that call would restart the thread pools that OpenBLAS's fork
-    handler stopped, and their new threads would spin.
-    """
-    for _, put in _openblas_thread_controls():
-        put(1)
+# one thread for good, before any fork (see the module docstring)
+for _, _put in _openblas_thread_controls():
+    _put(1)
 
 
 def _orbits(basis: BasisIndex) -> tuple:
@@ -216,7 +211,7 @@ def _sector_operators(h: SparseOperator, reps, mirrors) -> list[SparseOperator]:
     :func:`solve_eigenbasis`), in canonical CSR."""
     rows = h.matrix[reps]
     same, mirrored = rows[:, reps], rows[:, mirrors]
-    return [SparseOperator(dim=reps.size, matrix=m) for m in (same + mirrored, same - mirrored)]
+    return [SparseOperator(m) for m in (same + mirrored, same - mirrored)]
 
 
 def _decoupled_lowest(
@@ -365,10 +360,6 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
 
     OpenBLAS's fork handler stops its thread pools first, so unless the
     caller runs threads of its own the process forks with one thread.
-    Both processes then solve on the one BLAS thread that
-    :func:`solve_eigenbasis` set, and since no process sets the count
-    again (see ``_one_blas_thread``) the pools stay stopped.  Each sector
-    is solved by the same code either way, so the bits are the same.
     """
     for sector, op, count in jobs:
         ncv = lanczos_ncv(op.dim, count)
@@ -456,20 +447,11 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     The merged energies choose ``nr``, and only the kept vectors are
     lifted back to the site basis: each sector's kept columns, scaled by
     sqrt(1/2), are scattered to the orbit representatives and, times the
-    sector's parity, to their mirrors.  The sign convention of
-    ``verified_basis`` (largest-magnitude component positive, the first
-    in site order among equals) is read off the sector block before the
-    scatter: representatives ascend and each precedes its mirror, so the
-    block's leading entry is the lifted vector's.  T is summed over row
-    blocks (:func:`transition_matrix`), so beyond its result the
-    assembly holds at most one (dim/2, nr) block at a time.  x flips the
-    parity, so T between two states of the same sector is set to its
-    exact value, 0.  OpenBLAS is first set to one thread for good (see
-    ``_one_blas_thread``), so every mode gives the same bits, whether a
-    block's two sectors are solved at once or in turn (see
-    :func:`_solve_sectors`).
+    sector's parity, to their mirrors.  T is summed over row blocks
+    (:func:`transition_matrix`), so beyond its result the assembly holds
+    at most one (dim/2, nr) block at a time.  x flips the parity, so T
+    between two states of the same sector is set to its exact value, 0.
     """
-    _one_blas_thread()
     omega_l, nr_override = spec.laser.omega_l, spec.nr_override
     basis = BasisIndex(spec.model)
     x = build_position(spec.model, basis)
@@ -503,15 +485,15 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     warn_near_degenerate_ground(energies)
     nr = select_nr(energies, omega_l, spec.max_order, nr_override)
     kept = order[:nr]
-    # the sector blocks scattered to the site basis; signs from each block
+    # the sector blocks scattered to the site basis, each column with its
+    # block's phase: representatives ascend and precede their mirrors, and
+    # the scaling keeps the block's leading entry largest
     vectors = np.empty((basis.dim, nr))
-    signs = np.empty(nr)
     start = 0
     for parity, e in zip((1.0, -1.0), eigs):
         mine = np.flatnonzero((kept >= start) & (kept < start + e.nr))
         block = e.vectors[:, kept[mine] - start]
         block *= np.sqrt(0.5)
-        signs[mine] = _phase_signs(block)
         vectors[np.ix_(reps, mine)] = block
         block *= parity
         vectors[np.ix_(mirrors, mine)] = block
@@ -521,7 +503,6 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     # a sparse product would sum each entry into 0.0, turning -0.0 into 0.0;
     # so does this, and the bits, signs of zero included, are the product's
     vectors += 0.0
-    vectors *= signs
     eig = with_transition(EigenBasis(energies=energies[:nr], vectors=vectors), x)
     # H keeps the parity and x flips it: same-parity entries are exactly 0
     even = kept < eigs[0].nr
@@ -530,9 +511,7 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
 
 
 def run_point(spec: ScanSpec) -> PointResult:
-    """Deterministic end-to-end run for one parameter set, on one BLAS
-    thread throughout: :func:`solve_eigenbasis`, called before
-    propagation, sets it (see ``_one_blas_thread``)."""
+    """Deterministic end-to-end run for one parameter set."""
     basis = BasisIndex(spec.model)
     eig = solve_eigenbasis(spec)
     ts = propagate(eig, basis, spec.laser, spec.propagation)
@@ -558,13 +537,10 @@ def _try_point(spec: ScanSpec, label: str) -> PointResult | PointFailure:
 def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFailure]:
     """One pipeline run per coupling in ``spec.gamma_values``; failures recorded in place.
 
-    Results come back ordered by grid index whatever the worker count.
-    Every point runs OpenBLAS on one thread, as in every other mode (see
-    :func:`run_point`), so a point's bits do not depend on the worker
-    count or on the process that computed it.  The one thread is set
-    here before the pool forks its workers, so they inherit it and never
-    set it themselves (see ``_one_blas_thread``).  The pool is started by
-    fork wherever ``os.fork`` exists, whatever the default start method.
+    Results come back ordered by grid index whatever the worker count,
+    and a point's bits do not depend on it.  The pool is started by fork
+    wherever ``os.fork`` exists, whatever the default start method, so
+    its workers inherit the one BLAS thread (see the module docstring).
     """
     gammas = [float(g) for g in spec.gamma_values]
     specs = [replace(spec, model=replace(spec.model, gamma=g)) for g in gammas]
@@ -573,7 +549,6 @@ def gamma_scan(spec: ScanSpec, workers: int = 1) -> list[PointResult | PointFail
     workers = min(workers, len(specs))
     if workers <= 1:
         return list(map(_try_point, specs, labels))
-    _one_blas_thread()
     context = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_try_point, specs, labels))
@@ -594,7 +569,7 @@ def spectral_distance(a: SpectrumResult, b: SpectrumResult) -> float:
     """Max-abs difference of the normalized yields over
     ``CONVERGENCE_WINDOW``; nan when the window holds no order of the
     grid, as for a pair of cutoffs that cannot be compared."""
-    if a.orders.shape != b.orders.shape or np.abs(a.orders - b.orders).max() > 1e-9:
+    if a.orders.shape != b.orders.shape or not np.abs(a.orders - b.orders).max() <= 1e-9:
         raise ValueError("spectra live on different grids")
     sel = (a.orders >= CONVERGENCE_WINDOW[0]) & (a.orders <= CONVERGENCE_WINDOW[1])
     if not sel.any():

@@ -114,23 +114,18 @@ class EigenBasis:
         return self.transition[0] if self.transition is not None else None
 
 
-def _phase_signs(vectors: np.ndarray) -> np.ndarray:
-    """The sign (+1 for a zero column) of each column's largest-magnitude
-    component, the first in row order among equals.
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column positive, the
+    first in row order among equals, in place; returns ``vectors``.
 
-    Taken a column at a time: ``np.abs`` of the whole array, and numpy's
-    argmax down its columns, would each copy it.
+    The leading components are found a column at a time: ``np.abs`` of
+    the whole array, and numpy's argmax down its columns, would each copy
+    it.  A zero column is left as it is.
     """
     lead = np.array([np.abs(col).argmax() for col in vectors.T], dtype=np.intp)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return signs
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column positive, in
-    place (see :func:`_phase_signs`); returns ``vectors``."""
-    vectors *= _phase_signs(vectors)
+    vectors *= signs
     return vectors
 
 
@@ -140,18 +135,24 @@ def lanczos_ncv(dim: int, count: int) -> int:
 
 
 def _verify(h, energies: np.ndarray, vectors: np.ndarray) -> None:
-    resid = h @ vectors - vectors * energies
-    norms = np.linalg.norm(resid, axis=0)
+    """Raise :class:`EigensolveError` unless ``vectors`` are orthonormal
+    and the pairs' residuals are small (see :func:`verified_basis`).
+
+    Orthonormality, a property of the vectors alone, is checked first: a
+    nan in the vectors is then an orthonormality defect, and a nan energy
+    with sound vectors a residual one.
+    """
+    norms = np.linalg.norm(h @ vectors - vectors * energies, axis=0)
+    gram = vectors.T @ vectors
+    off = np.abs(gram - np.eye(gram.shape[0])).max()
+    if not off <= _ORTHO_TOL:
+        raise EigensolveError(f"orthonormality defect {off:.3e}", residuals=norms)
     bound = _RESIDUAL_TOL * np.maximum(1.0, np.abs(energies))
-    if np.any(norms > bound):
+    if not np.all(norms <= bound):
         raise EigensolveError(
             f"eigenpair residuals up to {norms.max():.3e} exceed tolerance",
             residuals=norms,
         )
-    gram = vectors.T @ vectors
-    off = np.abs(gram - np.eye(gram.shape[0])).max()
-    if off > _ORTHO_TOL:
-        raise EigensolveError(f"orthonormality defect {off:.3e}", residuals=norms)
 
 
 def _lapack_lowest(op: SparseOperator, count: int):
@@ -289,10 +290,10 @@ def eigensolve_lowest(op: SparseOperator, count: int, span: float = np.inf) -> E
 
 def verified_basis(op: SparseOperator, energies: np.ndarray, vectors: np.ndarray) -> EigenBasis:
     """Eigenpairs of ``op`` sorted ascending (stable), phase-fixed, and
-    checked: residuals within 1e-8 of max(1, |E|) and orthonormality
-    within 1e-10, else :class:`EigensolveError`.  The sort copies
-    ``vectors``, and the phases are fixed in that copy, so the caller's
-    array is left as it was."""
+    checked: orthonormality within 1e-10 and residuals within 1e-8 of
+    max(1, |E|), a nan failing either, else :class:`EigensolveError`.
+    The sort copies ``vectors``, and the phases are fixed in that copy,
+    so the caller's array is left as it was."""
     order = np.argsort(energies, kind="stable")
     energies = np.ascontiguousarray(energies[order])
     vectors = _fix_phases(np.ascontiguousarray(vectors[:, order]))
@@ -324,7 +325,7 @@ def transition_matrix(eig: EigenBasis, x_op: SparseOperator) -> np.ndarray:
     for start in range(step, eig.dim, step):
         t += v[start:start + step].T @ (x[start:start + step] @ v)
     asym = np.abs(t - t.T).max() if t.size else 0.0
-    if asym > 1e-12:
+    if not asym <= 1e-12:
         raise ValueError(f"transition matrix asymmetry {asym:.3e}")
     return t
 
@@ -336,7 +337,7 @@ def with_transition(eig: EigenBasis, x_op: SparseOperator) -> EigenBasis:
 
 def harmonic_order(energy: float, energy_gs: float, omega_l: float):
     """Map an energy to laser-frequency units, (e - e_gs) / omega_l."""
-    if omega_l <= 0:
+    if not omega_l > 0:
         raise ValueError(f"omega_l must be > 0, got {omega_l}")
     return (energy - energy_gs) / omega_l
 

@@ -40,7 +40,7 @@ def acceleration(dipole: np.ndarray, dt: float) -> np.ndarray:
     x = np.asarray(dipole, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 3:
         raise ValueError(f"need at least 3 samples, got shape {x.shape}")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     acc = np.zeros_like(x)
     acc[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (dt * dt)
@@ -70,7 +70,7 @@ def yield_spectrum(accel: np.ndarray, dt: float, omega_l: float) -> SpectrumResu
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty input")
-    if omega_l <= 0:
+    if not omega_l > 0:
         raise ValueError(f"omega_l must be > 0, got {omega_l}")
     spec = np.fft.rfft(hann_window(x))
     omega = 2.0 * np.pi * np.arange(spec.shape[0]) / (n * dt)

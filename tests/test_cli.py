@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tomllib
 from dataclasses import fields
 from pathlib import Path
 
@@ -537,6 +536,7 @@ def test_unknown_mode_rejected():
 def test_console_script_target_runs_levels(tmp_path):
     # calls the [project.scripts] target as the installed polaron-hhg script
     # would, so renaming it fails here even where the package is not installed
+    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, func = scripts["polaron-hhg"].split(":")

@@ -148,6 +148,9 @@ def test_stability_guard_rejects_large_steps():
     eig = _eig(TWO_SITE)
     with pytest.raises(ValueError, match="stability guard"):
         propagate(eig, BasisIndex(TWO_SITE), LaserParams(), PropagationConfig(n_steps=64))
+    nan_level = _manual_eig([0.0, np.nan], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="stability guard"):
+        propagate(nan_level, BasisIndex(TWO_SITE), LaserParams(), PropagationConfig(n_steps=2**10))
 
 
 def test_divergence_error_on_violent_coupling():
@@ -163,6 +166,14 @@ def test_nan_norm_counts_as_divergence():
         propagate(eig, BasisIndex(TWO_SITE), LaserParams(), PropagationConfig(n_steps=2**10))
 
 
+def test_nan_density_is_a_hermiticity_error():
+    # a nan in the eigenvectors reaches the densities, not the norm
+    eig = _manual_eig([0.0, 1e-4], np.zeros((2, 2)))
+    eig.vectors[1, 1] = np.nan
+    with pytest.raises(HermiticityError, match="at sample 0$"):
+        propagate(eig, BasisIndex(TWO_SITE), LaserParams(), PropagationConfig(n_steps=2**10))
+
+
 def test_initial_state_validation():
     eig = _eig(TWO_SITE)
     basis = BasisIndex(TWO_SITE)
@@ -172,6 +183,8 @@ def test_initial_state_validation():
         propagate(eig, basis, laser, cfg, a0=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         propagate(eig, basis, laser, cfg, a0=np.array([0.7, 0.0]))
+    with pytest.raises(ValueError, match="a0 is not normalized"):
+        propagate(eig, basis, laser, cfg, a0=np.array([np.nan, 0.0]))
 
 
 def test_config_validation():

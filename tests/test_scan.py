@@ -304,7 +304,7 @@ def test_ground_state_is_taken_from_either_sector(monkeypatch):
     dim = basis.dim
     flip = scipy.sparse.csr_matrix((np.ones(dim), basis.inversion, np.arange(dim + 1)))
     h = build_hamiltonian(ARPACK_MODEL, basis).matrix + 0.03 * flip
-    shifted = SparseOperator(dim=dim, matrix=h.tocsr())
+    shifted = SparseOperator(matrix=h.tocsr())
     monkeypatch.setattr(scan, "build_hamiltonian", lambda model, basis: shifted)
     spec = ScanSpec(model=ARPACK_MODEL, laser=LASER, dense_threshold=ARPACK_THRESHOLD)
     eig = solve_eigenbasis(spec)
@@ -368,6 +368,24 @@ def _point_and_threads(spec, label):
     result = _TRY_POINT(spec, label)
     counts = [get() for get, _ in _openblas_thread_controls()]
     return result, len(os.listdir("/proc/self/task")), counts
+
+
+def test_import_leaves_one_thread():
+    # the count is set when scan loads, so before anything can fork
+    _skip_without_blas_pools()
+    code = (
+        "import polaron_hhg; "
+        "print(*(get() for get, _ in polaron_hhg.scan._openblas_thread_controls()))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"1"}
 
 
 def test_pool_workers_keep_one_thread(monkeypatch):
@@ -959,6 +977,9 @@ def test_spectral_distance_grid_mismatch():
     )
     with pytest.raises(ValueError):
         spectral_distance(r1.spectrum, r2.spectrum)
+    nan_grid = replace(r1.spectrum, orders=np.full_like(r1.spectrum.orders, np.nan))
+    with pytest.raises(ValueError, match="different grids"):
+        spectral_distance(r1.spectrum, nan_grid)
 
 
 def test_correlation_map_vacuum_is_zero():

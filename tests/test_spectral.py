@@ -121,7 +121,7 @@ def _sector(gamma: float, sector: int = 0) -> SparseOperator:
     basis = BasisIndex(model)
     p = parity_projection(basis, sector)
     h = build_hamiltonian(model, basis).matrix
-    return SparseOperator(dim=p.shape[0], matrix=(p @ h @ p.T).tocsr())
+    return SparseOperator(matrix=(p @ h @ p.T).tocsr())
 
 
 # the energy of 45 laser quanta, the default max_order
@@ -222,7 +222,7 @@ def test_solve_leaves_the_operator_as_it_was():
         (m.data[flipped], m.indices[flipped], m.indptr.copy()), shape=m.shape
     )
     assert not matrix.has_sorted_indices
-    op = SparseOperator(dim=m.shape[0], matrix=matrix)
+    op = SparseOperator(matrix=matrix)
 
     def arrays():
         return [a.tobytes() for a in (matrix.indptr, matrix.indices, matrix.data)]
@@ -288,6 +288,28 @@ def test_transition_matrix_dimension_mismatch():
         transition_matrix(eig, build_position(other, BasisIndex(other)))
 
 
+def test_transition_matrix_rejects_a_nan_basis():
+    model = ModelParams(n_cells=1, phonon_cutoff=1)
+    eig = _solve(model)
+    eig.vectors[0, 1] = np.nan
+    with pytest.raises(ValueError, match="asymmetry nan"):
+        transition_matrix(eig, build_position(model, BasisIndex(model)))
+
+
+@pytest.mark.parametrize(
+    "energies, vectors, defect",
+    [
+        ([np.nan, np.nan], np.full((2, 2), np.nan), "orthonormality defect nan"),
+        ([0.0, np.nan], np.eye(2), "residuals up to nan"),
+    ],
+    ids=["nan-vectors", "nan-energy"],
+)
+def test_verified_basis_rejects_nan(energies, vectors, defect):
+    op = SparseOperator(matrix=scipy.sparse.csr_matrix((2, 2)))
+    with pytest.raises(EigensolveError, match=defect):
+        spectral.verified_basis(op, np.array(energies), np.array(vectors))
+
+
 def test_transition_matrix_holds_one_row_block_of_x_v():
     # at dim 24576 (N=3, L=4) and nr 40 the sum over row blocks holds, beyond
     # T, less than a quarter of V; the plain product V^T (x V) held all of x V
@@ -309,7 +331,7 @@ def test_transition_matrix_holds_one_row_block_of_x_v():
     # within one row block T is the plain product, bit for bit
     rows = spectral._TRANSITION_ROWS
     small = EigenBasis(energies=eig.energies, vectors=vectors[:rows])
-    x_small = SparseOperator(dim=rows, matrix=x.matrix[:rows, :rows].tocsr())
+    x_small = SparseOperator(matrix=x.matrix[:rows, :rows].tocsr())
     plain = small.vectors.T @ (x_small.matrix @ small.vectors)
     assert np.array_equal(transition_matrix(small, x_small), plain)
     # across blocks the sums are regrouped: equal to rounding
@@ -342,6 +364,8 @@ def test_harmonic_order_values():
     assert harmonic_order(0.58, 0.5, OMEGA_L) == pytest.approx(40.0, rel=1e-12)
     with pytest.raises(ValueError):
         harmonic_order(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        harmonic_order(1.0, 0.0, np.nan)
 
 
 def test_select_nr_rule_and_clamps():

@@ -34,6 +34,8 @@ def test_acceleration_input_validation():
         acceleration(np.zeros(2), 0.1)
     with pytest.raises(ValueError):
         acceleration(np.zeros(10), 0.0)
+    with pytest.raises(ValueError):
+        acceleration(np.zeros(10), np.nan)
 
 
 def test_hann_window_values():
@@ -129,3 +131,5 @@ def test_yield_spectrum_validation():
         yield_spectrum(np.array([]), 0.1, 1.0)
     with pytest.raises(ValueError):
         yield_spectrum(np.ones(16), 0.1, 0.0)
+    with pytest.raises(ValueError):
+        yield_spectrum(np.ones(16), 0.1, np.nan)
