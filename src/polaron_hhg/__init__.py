@@ -7,6 +7,12 @@ amplitudes through one laser pulse, and Fourier-analyze the dipole
 acceleration into a normalized harmonic yield.
 """
 
+import os
+
+# before the first numpy import: the bundled OpenBLAS builds then start no
+# thread pool at load (see the scan module docstring)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .dynamics import (

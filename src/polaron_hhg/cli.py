@@ -17,16 +17,26 @@ configuration, which is echoed to ``resolved.ini``; that can be passed
 back as ``--config`` to repeat the run, and a ``manifest.txt`` lists the
 completed artifacts.
 
-Every other artifact is a text table written by :func:`_write_table`:
-comment lines starting with ``# `` (the header, then any notes and the
-tab-separated column names), then rows of tab-separated numbers, each
-written as ``f"{x:.15g}"`` would write it, so integer columns read as
-integers.  Rows are formatted 512 at a time, one ``%``-format per chunk.
-Only ``failures.txt`` has text rows: a failed point's label and message.
+Every other artifact is a text table: comment lines starting with
+``# `` (the header, then any notes and the tab-separated column names),
+then rows of tab-separated numbers, each written as ``f"{x:.15g}"`` would
+write it, so integer columns read as integers.  :func:`_format_rows`
+formats them, 512 rows at a time, one ``%``-format per chunk.  Only
+``failures.txt`` has text rows: a failed point's label and message.
 The library modules return arrays; this module alone knows the format.
 Each mode returns its tables, ``(name, notes, columns)``, and its failed
 points; :func:`main` alone adds the header, writes and lists each table,
 writes gamma-scan's ``failures.txt`` and reports every failed point.
+
+The one table written while it is computed is run's ``timeseries.txt``,
+the largest.  The mode opens it through the ``stream`` callable that
+:func:`main` passes every mode, which adds the header, before the run
+starts; ``propagate`` hands it each block's samples, and a forked child
+formats each full chunk while the run steps on (:class:`_StreamedTable`).
+The mode returns it in its place among the tables, and :func:`main`
+still lists every artifact, in order, once it is complete.  On every
+path :func:`main` reaps the child before it returns, and a failed run's
+partial time series is removed, so the manifest lists every file left.
 A config it refuses, or an output directory it cannot make, is one
 ``config error`` or ``output error`` line and exit status 2.
 """
@@ -36,6 +46,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import multiprocessing
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -44,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import PropagationConfig
+from .dynamics import PropagationConfig, sample_times
 from .hilbert import BasisIndex, ModelParams, is_integer
 from .pulse import LaserParams, electric_field
 from .scan import (
@@ -55,6 +66,7 @@ from .scan import (
     convergence_study,
     correlation_map,
     gamma_scan,
+    may_fork,
     run_point,
     solve_eigenbasis,
 )
@@ -194,6 +206,12 @@ def resolved_config_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+def _format_rows(chunk) -> str:
+    """The rows of the 2-D array ``chunk`` in the module's table format."""
+    row = "\t".join(["%.15g"] * chunk.shape[1]) + "\n"
+    return (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def _write_table(fh, comment_lines, columns) -> None:
     """Write ``comment_lines`` as ``# `` lines, then the equal-length 1-D
     ``columns`` as rows in the module's table format (none if empty)."""
@@ -201,10 +219,120 @@ def _write_table(fh, comment_lines, columns) -> None:
         fh.write(f"# {line}\n")
     if not columns:
         return
-    row = "\t".join(["%.15g"] * len(columns)) + "\n"
     for lo in range(0, len(columns[0]), _WRITE_ROWS):
-        chunk = np.column_stack([c[lo : lo + _WRITE_ROWS] for c in columns])
-        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        fh.write(_format_rows(np.column_stack([c[lo : lo + _WRITE_ROWS] for c in columns])))
+
+
+class _StreamedTable:
+    """A table whose rows are written while the run computes them.
+
+    :meth:`add` gathers rows into chunks of ``_WRITE_ROWS``, and each full
+    chunk is formatted by :func:`_format_rows` at once.  Where
+    :func:`may_fork` allows it, a ``multiprocessing`` child started by
+    fork formats them: the chunks reach it through a pipe, so the caller
+    goes on computing while they are written, and the child reports back
+    through the same pipe, None once the file is complete, else its
+    exception.  Elsewhere this process formats them.  The file is opened
+    and its comment lines written here, so an unwritable path fails in the
+    caller either way.  :meth:`close` writes the last rows and returns
+    once the table is complete, or raises what the writer raised;
+    :meth:`discard` reaps the child and removes the file.
+    """
+
+    def __init__(self, path: Path, comment_lines, n_columns: int):
+        self.path = path
+        self._chunk = np.empty((_WRITE_ROWS, n_columns))
+        self._held = 0
+        self._child = None
+        self._fh = open(path, "w")
+        try:
+            _write_table(self._fh, comment_lines, [])
+            if may_fork():
+                self._fh.flush()
+                context = multiprocessing.get_context("fork")
+                self._conn, theirs = context.Pipe()
+                child = context.Process(target=self._serve, args=(theirs,))
+                child.start()
+                self._child = child
+                theirs.close()
+                # the child writes through its own copy of the file
+                self._fh.close()
+        except BaseException:
+            self.discard()
+            raise
+
+    def _serve(self, conn) -> None:
+        # in the child: format each chunk as it comes, until an empty one
+        self._conn.close()
+        try:
+            with self._fh:
+                for data in iter(conn.recv_bytes, b""):
+                    chunk = np.frombuffer(data).reshape(-1, self._chunk.shape[1])
+                    self._fh.write(_format_rows(chunk))
+        except Exception as exc:
+            conn.send(exc)
+        else:
+            conn.send(None)
+
+    def add(self, rows) -> None:
+        """Take the next rows, a 2-D array with one column per table column."""
+        while len(rows):
+            take = min(len(rows), _WRITE_ROWS - self._held)
+            self._chunk[self._held : self._held + take] = rows[:take]
+            self._held += take
+            rows = rows[take:]
+            if self._held == _WRITE_ROWS:
+                self._flush()
+
+    def _flush(self) -> None:
+        chunk = self._chunk[: self._held]
+        self._held = 0
+        if self._child is None:
+            self._fh.write(_format_rows(chunk))
+        else:
+            self._send(chunk)
+
+    def _send(self, data) -> None:
+        try:
+            self._conn.send_bytes(data)
+        except OSError:
+            # the child has gone; what it reported is the error
+            self._report()
+            raise
+
+    def _report(self) -> None:
+        """Wait for the child's report, reap it, and raise what it raised."""
+        try:
+            report = self._conn.recv()
+        except (EOFError, OSError):
+            # gone without a report
+            self._child.join()
+            report = RuntimeError(
+                f"{self.path.name} writer exited with status {self._child.exitcode}"
+            )
+        finally:
+            self._child.join()
+            self._conn.close()
+        if report is not None:
+            # sent by this process's own child
+            raise report
+
+    def close(self) -> None:
+        if self._held:
+            self._flush()
+        if self._child is None:
+            self._fh.close()
+        else:
+            self._send(b"")
+            self._report()
+
+    def discard(self) -> None:
+        if self._child is not None:
+            self._child.kill()
+            self._child.join()
+            self._conn.close()
+        self._fh.close()
+        self.path.unlink(missing_ok=True)
 
 
 def _levels_table(energies, relevance) -> tuple:
@@ -245,28 +373,31 @@ def _auto_correlate_states(eig, omega_l: float) -> list[int]:
     return [0] + sorted(m for _, m in excited[:3])
 
 
-def _mode_levels(cfg, workers):
+def _mode_levels(cfg, workers, stream):
     eig = solve_eigenbasis(cfg)
     return [_levels_table(eig.energies, state_relevance(eig, cfg.laser.omega_l))], []
 
 
-def _mode_run(cfg, workers):
-    result = run_point(cfg)
-    ts = result.timeseries
-    ns = ts.electron_density.shape[1]
+def _mode_run(cfg, workers, stream):
+    ns = cfg.model.n_sites()
     names = ["t", "E", "dipole", "norm"]
     names += [f"n_e_{r}" for r in range(ns)] + [f"n_ph_{r}" for r in range(ns)]
-    dipole = ts.dipole_full[:: cfg.propagation.record_stride]
-    columns = [ts.times, electric_field(ts.times, cfg.laser), dipole, ts.amplitudes_norm]
-    columns += [*ts.electron_density.T, *ts.phonon_density.T]
+    series = stream("timeseries.txt", ["\t".join(names)], len(names))
+    times = sample_times(cfg.laser, cfg.propagation)
+    field = electric_field(times, cfg.laser)
+
+    def on_samples(s, norm, electron, phonon, dipole):
+        series.add(np.column_stack([times[s], field[s], dipole, norm, electron, phonon]))
+
+    result = run_point(cfg, on_samples=on_samples)
     return [
         _levels_table(result.energies, result.relevance),
-        ("timeseries.txt", ["\t".join(names)], columns),
+        ("timeseries.txt", None, series),
         _spectrum_table("spectrum.txt", result.spectrum),
     ], []
 
 
-def _mode_gamma_scan(cfg, workers):
+def _mode_gamma_scan(cfg, workers, stream):
     results = gamma_scan(cfg, workers=workers)
     # long format: one block of rows per point, failed points skipped
     spectra, levels = [], []
@@ -280,7 +411,7 @@ def _mode_gamma_scan(cfg, workers):
     ], [r for r in results if isinstance(r, PointFailure)]
 
 
-def _mode_converge(cfg, workers):
+def _mode_converge(cfg, workers, stream):
     report = convergence_study(cfg)
     failures = [p for p in report.points if isinstance(p, PointFailure)]
     lo, hi = CONVERGENCE_WINDOW
@@ -299,7 +430,7 @@ def _mode_converge(cfg, workers):
     return tables, failures
 
 
-def _mode_correlate(cfg, workers):
+def _mode_correlate(cfg, workers, stream):
     basis = BasisIndex(cfg.model)
     eig = solve_eigenbasis(cfg)
     states = (
@@ -366,11 +497,20 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
     manifest = ["resolved.ini"]
+    streamed = []
+
+    def stream(name, notes, n_columns):
+        streamed.append(_StreamedTable(outdir / name, header + notes, n_columns))
+        return streamed[-1]
+
     try:
-        tables, failures = _MODE_FUNCS[args.mode](cfg, args.workers)
+        tables, failures = _MODE_FUNCS[args.mode](cfg, args.workers, stream)
         for name, notes, columns in tables:
-            with open(outdir / name, "w") as fh:
-                _write_table(fh, header + notes, columns)
+            if isinstance(columns, _StreamedTable):
+                columns.close()
+            else:
+                with open(outdir / name, "w") as fh:
+                    _write_table(fh, header + notes, columns)
             manifest.append(name)
         # converge notes its failed cutoffs in convergence.txt instead
         if failures and args.mode == "gamma-scan":
@@ -382,6 +522,10 @@ def main(argv=None) -> int:
         print(f"{args.mode} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
+        # a streamed table not listed is partial: its child is reaped, its file removed
+        for table in streamed:
+            if table.path.name not in manifest:
+                table.discard()
         (outdir / "manifest.txt").write_text("".join(name + "\n" for name in manifest))
     for f in failures:
         print(f"{args.mode} point failed: {f.label}: {f.message}", file=sys.stderr)

@@ -28,6 +28,7 @@ series no matter how sparsely densities are sampled.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,12 @@ class TimeSeries:
     norm_final: float = 0.0
 
 
+def sample_times(laser: LaserParams, cfg: PropagationConfig) -> np.ndarray:
+    """The sample grid of :func:`propagate`, t_i = i * record_stride * dt."""
+    dt = laser.t_final() / cfg.n_steps
+    return np.arange(cfg.n_steps // cfg.record_stride) * (cfg.record_stride * dt)
+
+
 def _rotated_densities(eig: EigenBasis, basis: BasisIndex) -> np.ndarray:
     """Stack of rotated site-occupation operators, shape (2*2N, nr, nr).
 
@@ -167,6 +174,7 @@ def propagate(
     laser: LaserParams,
     cfg: PropagationConfig,
     a0: np.ndarray | None = None,
+    on_samples: Callable | None = None,
 ) -> TimeSeries:
     """RK4IP propagation from ``a0`` (default: ground state) over one pulse.
 
@@ -205,6 +213,14 @@ def propagate(
     shapes, and a step's rounding depends only on its own inputs.  At 64
     steps the per-block calls are amortised while the block's step
     matrices stay about 1 MB at nr = 31.
+
+    ``on_samples``, if given, is called once per block, right after the
+    block's checks pass, with that block's samples in order: their
+    indices on the :func:`sample_times` grid, the norms, the electron and
+    the phonon densities (one row per sample, one column per site) and the
+    dipole at the samples.  A block holds no sample when ``record_stride``
+    exceeds its length; the call then gets empty arrays.  The arrays are
+    the caller's to keep.  What the callable raises ends the propagation.
     """
     if eig.transition is None:
         raise ValueError("transition matrix not attached")
@@ -242,8 +258,8 @@ def propagate(
     dens = ops.transpose(1, 0, 2).reshape(nr, n_ops * nr)
     ns = basis.n_sites
 
-    n_samples = n_steps // stride
-    times = np.arange(n_samples) * (stride * dt)
+    times = sample_times(laser, cfg)
+    n_samples = len(times)
     norms = np.empty(n_samples)
     e_dens = np.empty((n_samples, ns))
     p_dens = np.empty((n_samples, ns))
@@ -298,6 +314,8 @@ def propagate(
         norms[s] = norm[rows]
         e_dens[s] = vals[:, :ns]
         p_dens[s] = vals[:, ns:]
+        if on_samples is not None:
+            on_samples(s, norm[rows], vals[:, :ns], vals[:, ns:], dipole_full[start + rows])
         amps[0] = amps[n]
 
     a = amps[0]

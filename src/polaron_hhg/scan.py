@@ -20,12 +20,15 @@ then scattered from the sector bases straight into the site basis, and
 T is summed over row blocks, so the point's eigenbasis is assembled
 without a full-size temporary.
 
-Importing this module sets every bundled OpenBLAS to one thread, for
-good, so every mode gives the same bits: serial, with a point's sectors
-solved at once, or in a gamma-scan pool.  Every process the package
-forks starts after the import, so it inherits the count and never sets
-it: after a fork a set call would restart the thread pools that
-OpenBLAS's fork handler stopped, and their new threads would spin.
+Every bundled OpenBLAS runs one thread, for good, so every mode gives
+the same bits: serial, with a point's sectors solved at once, or in a
+gamma-scan pool.  Importing the package sets ``OPENBLAS_NUM_THREADS`` to
+1 unless it is set already, so an OpenBLAS loaded after that starts no
+thread pool; importing this module then sets the count of every bundled
+build to 1, for a process that loaded numpy first.  Every process the
+package forks starts after the import, so it inherits the count and
+never sets it: after a fork a set call would restart the thread pools
+that OpenBLAS's fork handler stopped, and their new threads would spin.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import logging
 import mmap
 import multiprocessing
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -320,19 +324,20 @@ def _sector_lowest(
     return verified_basis(op, *window)
 
 
-def _fork_sectors(dims) -> bool:
-    """Whether :func:`_solve_sectors` solves sectors of these dims at once."""
+def may_fork() -> bool:
+    """Whether this process may hand work to a forked child: it can fork,
+    has two CPUs to use and is no ``multiprocessing`` child, such as a
+    gamma-scan pool worker, whose parent already uses them."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return (
-        len(dims) == 2
-        and min(dims) >= _FORK_MIN_DIM
-        and hasattr(os, "fork")
-        and cpus >= 2
-        and multiprocessing.parent_process() is None
-    )
+    return hasattr(os, "fork") and cpus >= 2 and multiprocessing.parent_process() is None
+
+
+def _fork_sectors(dims) -> bool:
+    """Whether :func:`_solve_sectors` solves sectors of these dims at once."""
+    return len(dims) == 2 and min(dims) >= _FORK_MIN_DIM and may_fork()
 
 
 def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenBasis]:
@@ -341,13 +346,11 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
 
     Two sectors of at least ``_FORK_MIN_DIM`` states each, too large for
     LAPACK to stand in for (more than ``spec.dense_threshold``), are
-    solved at the same time when the process can fork, has two CPUs to
-    use and is no ``multiprocessing`` child, such as a gamma-scan pool
-    worker, whose parent already uses them (:func:`_fork_sectors`); any
-    others are solved one after the other.  At once, this process solves the even
-    sector and a ``multiprocessing`` child started by fork the odd one,
-    so the child inherits every input and nothing is serialised on the
-    way in.  The child writes its energies and vectors straight into an
+    solved at the same time when :func:`may_fork` allows it (see
+    :func:`_fork_sectors`); any others are solved one after the other.
+    At once, this process solves the even sector and a
+    ``multiprocessing`` child started by fork the odd one, so the child
+    inherits every input and nothing is serialised on the way in.  The child writes its energies and vectors straight into an
     anonymous shared mapping, whose views are the odd sector's result,
     so they do not go through the pipe either: this process would then
     hold their serialised bytes and the arrays rebuilt from them at once.
@@ -510,11 +513,12 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     return eig
 
 
-def run_point(spec: ScanSpec) -> PointResult:
-    """Deterministic end-to-end run for one parameter set."""
+def run_point(spec: ScanSpec, on_samples: Callable | None = None) -> PointResult:
+    """Deterministic end-to-end run for one parameter set; ``on_samples``
+    goes to :func:`propagate`."""
     basis = BasisIndex(spec.model)
     eig = solve_eigenbasis(spec)
-    ts = propagate(eig, basis, spec.laser, spec.propagation)
+    ts = propagate(eig, basis, spec.laser, spec.propagation, on_samples=on_samples)
     omega_l = spec.laser.omega_l
     spectrum = yield_spectrum(acceleration(ts.dipole_full, ts.dt), ts.dt, omega_l)
     return PointResult(

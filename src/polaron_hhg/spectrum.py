@@ -70,6 +70,8 @@ def yield_spectrum(accel: np.ndarray, dt: float, omega_l: float) -> SpectrumResu
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty input")
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     if not omega_l > 0:
         raise ValueError(f"omega_l must be > 0, got {omega_l}")
     spec = np.fft.rfft(hann_window(x))

@@ -2,6 +2,7 @@
 
 import configparser
 import io
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polaron_hhg import cli, dynamics
 from polaron_hhg.cli import (
     _WRITE_ROWS,
     ConfigError,
@@ -24,7 +26,7 @@ from polaron_hhg.cli import (
 )
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import ModelParams
-from polaron_hhg.pulse import LaserParams
+from polaron_hhg.pulse import LaserParams, electric_field
 from polaron_hhg.scan import ScanSpec, gamma_scan, run_point, solve_eigenbasis
 from polaron_hhg.spectrum import SpectrumResult
 
@@ -476,6 +478,120 @@ def test_run_failure_still_writes_manifest(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
     assert "stability guard" in capsys.readouterr().err
+
+
+@pytest.fixture(params=[True, False], ids=["forked", "in-process"])
+def series_writer(request, monkeypatch):
+    """Where the time series is formatted: in a forked child or in this process."""
+    if request.param and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(cli, "may_fork", lambda: request.param)
+    yield
+    assert not multiprocessing.active_children()
+
+
+def test_streamed_time_series_is_the_table_of_the_run(tmp_path, series_writer):
+    # 5000 samples, not a multiple of the chunk, at a stride that does not
+    # divide the propagator's block
+    text = TINY.replace("n_steps = 16384", "n_steps = 15000\nrecord_stride = 3")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    written = (out / "timeseries.txt").read_text()
+
+    spec = parse_config(cfg)
+    ts = run_point(spec).timeseries
+    assert len(ts.times) % _WRITE_ROWS
+    columns = [ts.times, electric_field(ts.times, spec.laser), ts.dipole_full[::3]]
+    columns += [ts.amplitudes_norm, *ts.electron_density.T, *ts.phonon_density.T]
+    comments = [l[2:] for l in written.splitlines() if l.startswith("# ")]
+    buf = io.StringIO()
+    _write_table(buf, comments, columns)
+    assert written == buf.getvalue()
+
+
+def test_run_failing_mid_series_leaves_no_partial_file(tmp_path, capsys, monkeypatch, series_writer):
+    # the field turns nan halfway through the pulse, after 16 chunks were sent
+    half = LaserParams().t_final() / 2
+    field = dynamics.electric_field
+    monkeypatch.setattr(
+        dynamics, "electric_field", lambda t, p: np.where(t < half, field(t, p), np.nan)
+    )
+    cfg = _write(tmp_path, TINY)
+    with pytest.raises(Exception) as raised:
+        run_point(parse_config(cfg))
+    chunks = []
+    flush = cli._StreamedTable._flush
+    monkeypatch.setattr(cli._StreamedTable, "_flush", lambda self: chunks.append(flush(self)))
+
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert len(chunks) >= 1
+    err = capsys.readouterr().err
+    assert err == f"run failed: {type(raised.value).__name__}: {raised.value}\n"
+    assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
+    assert not (out / "timeseries.txt").exists()
+
+
+def test_writer_failure_reaches_the_caller(tmp_path, capsys, monkeypatch, series_writer):
+    # the formatter fails on the first chunk, in the child where there is one
+    def fail(chunk):
+        raise OSError("no space left for the time series")
+
+    monkeypatch.setattr(cli, "_format_rows", fail)
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "run failed: OSError: no space left for the time series\n"
+    assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
+    assert not (out / "timeseries.txt").exists()
+
+
+def test_writer_exit_without_report_is_named(tmp_path, capsys, monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(cli, "may_fork", lambda: True)
+    monkeypatch.setattr(cli, "_format_rows", lambda chunk: os._exit(3))
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "run failed: RuntimeError: timeseries.txt writer exited with status 3\n"
+    assert not (out / "timeseries.txt").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_time_series_path_taken_by_a_directory(tmp_path, capsys, series_writer):
+    out = tmp_path / "out"
+    path = out / "timeseries.txt"
+    path.mkdir(parents=True)
+    with pytest.raises(OSError) as raised:
+        open(path, "w")
+    assert main(["run", "--config", _write(tmp_path, TINY), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"run failed: {type(raised.value).__name__}: {raised.value}\n"
+    assert path.is_dir() and not any(path.iterdir())
+    assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
+
+
+def test_module_entry_point_leaves_no_process(tmp_path):
+    # the run in its own session: once it exits, nothing of the session is left
+    cfg = _write(tmp_path, TINY)
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polaron_hhg.cli", "run", "--config", cfg, "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    manifest = (out / "manifest.txt").read_text().split()
+    assert manifest == ["resolved.ini", "levels.txt", "timeseries.txt", "spectrum.txt"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # small grids for the scan modes; FAILING trips the stability guard at every point

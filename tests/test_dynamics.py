@@ -9,6 +9,7 @@ from polaron_hhg.dynamics import (
     PropagationConfig,
     PropagationDivergedError,
     propagate,
+    sample_times,
 )
 from polaron_hhg.hilbert import BasisIndex, BasisState, ModelParams
 from polaron_hhg.operators import build_hamiltonian
@@ -299,6 +300,41 @@ def test_timeseries_grids():
         assert dt_sample == pytest.approx(stride * ts.dt, rel=1e-15)
         # the sampled densities sit on the rows of the sampled norms
         assert np.abs(ts.electron_density.sum(axis=1) - ts.amplitudes_norm).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps,stride", [(2**12, 1), (3000, 3), (2**12, 128)])
+def test_on_samples_gets_each_sample_once_in_order(n_steps, stride):
+    # stride 3 does not divide a block, and at stride 128 every other block
+    # holds no sample
+    model = ModelParams(n_cells=1, phonon_cutoff=2)
+    eig = _eig(model, max_order=20.0)
+    laser = LaserParams()
+    cfg = PropagationConfig(n_steps=n_steps, record_stride=stride)
+    calls = []
+    ts = propagate(eig, BasisIndex(model), laser, cfg, on_samples=lambda *a: calls.append(a))
+    assert len(calls) == -(-n_steps // dynamics._BLOCK)
+    s, norm, electron, phonon, dipole = (np.concatenate(c) for c in zip(*calls))
+    assert np.array_equal(s, np.arange(n_steps // stride))
+    assert np.array_equal(sample_times(laser, cfg), ts.times)
+    assert np.array_equal(norm, ts.amplitudes_norm)
+    assert np.array_equal(electron, ts.electron_density)
+    assert np.array_equal(phonon, ts.phonon_density)
+    assert np.array_equal(dipole, ts.dipole_full[::stride])
+
+
+def test_on_samples_is_not_called_for_a_failed_block():
+    eig = _manual_eig([0.0, 1e-4], [[0.0, 5e4], [5e4, 0.0]])
+    calls = []
+    with pytest.raises(PropagationDivergedError, match="at step 3745"):
+        propagate(
+            eig,
+            BasisIndex(TWO_SITE),
+            LaserParams(),
+            PropagationConfig(n_steps=2**16),
+            on_samples=lambda s, *rest: calls.append(s),
+        )
+    # the blocks before the one holding step 3745, each whole
+    assert np.array_equal(np.concatenate(calls), np.arange(3745 // 64 * 64))
 
 
 def test_transition_required():

@@ -360,6 +360,18 @@ def _skip_without_blas_pools():
 
 
 _TRY_POINT = scan._try_point
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_fresh(*argv):
+    """Output words of a fresh interpreter on the package's source.  Importing
+    the package put OPENBLAS_NUM_THREADS into this environment; it is left out."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env={**env, "PYTHONPATH": _SRC}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 def _point_and_threads(spec, label):
@@ -370,22 +382,28 @@ def _point_and_threads(spec, label):
     return result, len(os.listdir("/proc/self/task")), counts
 
 
+_COUNTS = "print(*(get() for get, _ in polaron_hhg.scan._openblas_thread_controls()))"
+
+
 def test_import_leaves_one_thread():
-    # the count is set when scan loads, so before anything can fork
+    # the count is set when the package loads, so before anything can fork
     _skip_without_blas_pools()
-    code = (
-        "import polaron_hhg; "
-        "print(*(get() for get, _ in polaron_hhg.scan._openblas_thread_controls()))"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) <= {"1"}
+    assert set(_run_fresh("-c", "import polaron_hhg; " + _COUNTS)) <= {"1"}
+
+
+def test_numpy_loaded_first_still_gets_one_thread():
+    # numpy's OpenBLAS read its thread count before the package could set
+    # the variable, so scan's set call is what brings it to 1
+    _skip_without_blas_pools()
+    counts = _run_fresh("-c", "import numpy, scipy.linalg, polaron_hhg; " + _COUNTS)
+    assert counts and set(counts) == {"1"}
+
+
+def test_import_starts_no_blas_threads():
+    # with the variable set before numpy loads, OpenBLAS starts no thread
+    _skip_without_blas_pools()
+    code = "import os, polaron_hhg; print(len(os.listdir('/proc/self/task')))"
+    assert _run_fresh("-c", code) == ["1"]
 
 
 def test_pool_workers_keep_one_thread(monkeypatch):
@@ -429,15 +447,7 @@ def test_pool_workers_keep_one_thread_under_forkserver(tmp_path):
         pytest.skip("needs the forkserver start method")
     script = tmp_path / "forkserver_scan.py"
     script.write_text(_FORKSERVER_SCAN)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "1"]
+    assert _run_fresh(str(script)) == ["1", "1"]
 
 
 def test_solve_at_once_leaves_one_thread():
@@ -451,15 +461,7 @@ def test_solve_at_once_leaves_one_thread():
         "scan.solve_eigenbasis(scan.ScanSpec(model=model, dense_threshold=0)); "
         "print(len(os.listdir('/proc/self/task')))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"]
+    assert _run_fresh("-c", code) == ["1"]
 
 
 @pytest.mark.parametrize("cutoff", [3, 4])

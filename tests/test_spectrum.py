@@ -133,3 +133,6 @@ def test_yield_spectrum_validation():
         yield_spectrum(np.ones(16), 0.1, 0.0)
     with pytest.raises(ValueError):
         yield_spectrum(np.ones(16), 0.1, np.nan)
+    for dt in (np.nan, -0.1):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            yield_spectrum(np.ones(16), dt, 1.0)
