@@ -350,7 +350,8 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     :func:`_fork_sectors`); any others are solved one after the other.
     At once, this process solves the even sector and a
     ``multiprocessing`` child started by fork the odd one, so the child
-    inherits every input and nothing is serialised on the way in.  The child writes its energies and vectors straight into an
+    inherits every input and nothing is serialised on the way in.  The
+    child writes its energies and vectors straight into an
     anonymous shared mapping, whose views are the odd sector's result,
     so they do not go through the pipe either: this process would then
     hold their serialised bytes and the arrays rebuilt from them at once.

@@ -510,7 +510,9 @@ def test_streamed_time_series_is_the_table_of_the_run(tmp_path, series_writer):
     assert written == buf.getvalue()
 
 
-def test_run_failing_mid_series_leaves_no_partial_file(tmp_path, capsys, monkeypatch, series_writer):
+def test_run_failing_mid_series_leaves_no_partial_file(
+    tmp_path, capsys, monkeypatch, series_writer
+):
     # the field turns nan halfway through the pulse, after 16 chunks were sent
     half = LaserParams().t_final() / 2
     field = dynamics.electric_field
