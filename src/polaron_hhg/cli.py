@@ -31,8 +31,12 @@ writes gamma-scan's ``failures.txt`` and reports every failed point.
 The one table written while it is computed is run's ``timeseries.txt``,
 the largest.  The mode opens it through the ``stream`` callable that
 :func:`main` passes every mode, which adds the header, before the run
-starts; ``propagate`` hands it each block's samples, and a forked child
-formats each full chunk while the run steps on (:class:`_StreamedTable`).
+starts; ``propagate`` hands it each block's samples and their times,
+the mode adds the field at those times, and a forked child formats each
+full chunk while the run steps on (:class:`_StreamedTable`).  So this
+process holds no whole-run copy of the time series: not the samples,
+which ``propagate`` then does not store, nor their times or field, only
+the chunk being filled.
 The mode returns it in its place among the tables, and :func:`main`
 still lists every artifact, in order, once it is complete.  On every
 path :func:`main` reaps the child before it returns, and a failed run's
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import hashlib
 import multiprocessing
 import sys
@@ -55,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import PropagationConfig, sample_times
+from .dynamics import PropagationConfig
 from .hilbert import BasisIndex, ModelParams, is_integer
 from .pulse import LaserParams, electric_field
 from .scan import (
@@ -383,11 +388,10 @@ def _mode_run(cfg, workers, stream):
     names = ["t", "E", "dipole", "norm"]
     names += [f"n_e_{r}" for r in range(ns)] + [f"n_ph_{r}" for r in range(ns)]
     series = stream("timeseries.txt", ["\t".join(names)], len(names))
-    times = sample_times(cfg.laser, cfg.propagation)
-    field = electric_field(times, cfg.laser)
 
-    def on_samples(s, norm, electron, phonon, dipole):
-        series.add(np.column_stack([times[s], field[s], dipole, norm, electron, phonon]))
+    def on_samples(s, t, norm, electron, phonon, dipole):
+        e = electric_field(t, cfg.laser)
+        series.add(np.column_stack([t, e, dipole, norm, electron, phonon]))
 
     result = run_point(cfg, on_samples=on_samples)
     return [
@@ -533,7 +537,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    status = main()
+    # every artifact is written and every child reaped, so nothing left needs
+    # the collector; frozen, the run's objects are skipped by the collection
+    # the interpreter makes at exit, which would otherwise walk them all
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

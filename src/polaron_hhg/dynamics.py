@@ -89,22 +89,50 @@ class TimeSeries:
     convention and feeds the FFT stage, so ``dipole_full[::record_stride]``
     is the dipole on the sample grid.  ``a_final`` are the amplitudes at
     t_final in the unshifted frame.
+
+    The four sample fields, ``times`` to ``phonon_density``, are None when
+    :func:`propagate` streamed the samples to an ``on_samples`` callable:
+    the caller then holds them, and a second, whole-run copy here would
+    only add to the peak.  ``dipole_full``, ``dt``, ``a_final`` and
+    ``norm_final`` are always set.
     """
 
-    times: np.ndarray = field(repr=False)
-    amplitudes_norm: np.ndarray = field(repr=False)
-    electron_density: np.ndarray = field(repr=False)
-    phonon_density: np.ndarray = field(repr=False)
     dipole_full: np.ndarray = field(repr=False)
     dt: float = 0.0
     a_final: np.ndarray = field(default=None, repr=False)
     norm_final: float = 0.0
+    times: np.ndarray | None = field(default=None, repr=False)
+    amplitudes_norm: np.ndarray | None = field(default=None, repr=False)
+    electron_density: np.ndarray | None = field(default=None, repr=False)
+    phonon_density: np.ndarray | None = field(default=None, repr=False)
 
 
-def sample_times(laser: LaserParams, cfg: PropagationConfig) -> np.ndarray:
-    """The sample grid of :func:`propagate`, t_i = i * record_stride * dt."""
+def sample_times(
+    laser: LaserParams, cfg: PropagationConfig, s: np.ndarray | None = None
+) -> np.ndarray:
+    """The sample grid of :func:`propagate`, t_i = i * record_stride * dt,
+    at the sample indices ``s`` (default: every sample)."""
+    if s is None:
+        s = np.arange(cfg.n_steps // cfg.record_stride)
     dt = laser.t_final() / cfg.n_steps
-    return np.arange(cfg.n_steps // cfg.record_stride) * (cfg.record_stride * dt)
+    return s * (cfg.record_stride * dt)
+
+
+class _SampleStore:
+    """The sink of a :func:`propagate` given no ``on_samples``: it stores
+    every sample, under the names of the :class:`TimeSeries` fields."""
+
+    def __init__(self, n_samples: int, n_sites: int):
+        self.times = np.empty(n_samples)
+        self.amplitudes_norm = np.empty(n_samples)
+        self.electron_density = np.empty((n_samples, n_sites))
+        self.phonon_density = np.empty((n_samples, n_sites))
+
+    def __call__(self, s, t, norm, electron, phonon, dipole) -> None:
+        self.times[s] = t
+        self.amplitudes_norm[s] = norm
+        self.electron_density[s] = electron
+        self.phonon_density[s] = phonon
 
 
 def _rotated_densities(eig: EigenBasis, basis: BasisIndex) -> np.ndarray:
@@ -214,13 +242,17 @@ def propagate(
     steps the per-block calls are amortised while the block's step
     matrices stay about 1 MB at nr = 31.
 
-    ``on_samples``, if given, is called once per block, right after the
-    block's checks pass, with that block's samples in order: their
-    indices on the :func:`sample_times` grid, the norms, the electron and
-    the phonon densities (one row per sample, one column per site) and the
-    dipole at the samples.  A block holds no sample when ``record_stride``
-    exceeds its length; the call then gets empty arrays.  The arrays are
-    the caller's to keep.  What the callable raises ends the propagation.
+    Each block's samples leave through one sink, called once per block,
+    right after the block's checks pass, with that block's samples in
+    order: their indices on the :func:`sample_times` grid, their times,
+    the norms, the electron and the phonon densities (one row per sample,
+    one column per site) and the dipole at the samples.  A block holds no
+    sample when ``record_stride`` exceeds its length; the call then gets
+    empty arrays.  The arrays are the caller's to keep.  The sink is
+    ``on_samples`` where given, and what it raises ends the propagation;
+    the returned :class:`TimeSeries` then holds no sample field, so no
+    whole-run sample array is ever allocated.  Without it, the sink
+    stores every sample in the :class:`TimeSeries`.
     """
     if eig.transition is None:
         raise ValueError("transition matrix not attached")
@@ -258,11 +290,8 @@ def propagate(
     dens = ops.transpose(1, 0, 2).reshape(nr, n_ops * nr)
     ns = basis.n_sites
 
-    times = sample_times(laser, cfg)
-    n_samples = len(times)
-    norms = np.empty(n_samples)
-    e_dens = np.empty((n_samples, ns))
-    p_dens = np.empty((n_samples, ns))
+    store = _SampleStore(n_steps // stride, ns) if on_samples is None else None
+    sink = store if on_samples is None else on_samples
     dipole_full = np.empty(n_steps)
 
     # row j holds the amplitudes at step start + j
@@ -311,23 +340,18 @@ def propagate(
                 f"norm drifted to {norm[k + 1]:.6f} at step {start + k + 1}; "
                 "reduce dt or retain fewer/more states"
             )
-        norms[s] = norm[rows]
-        e_dens[s] = vals[:, :ns]
-        p_dens[s] = vals[:, ns:]
-        if on_samples is not None:
-            on_samples(s, norm[rows], vals[:, :ns], vals[:, ns:], dipole_full[start + rows])
+        t = sample_times(laser, cfg, s)
+        sink(s, t, norm[rows], vals[:, :ns], vals[:, ns:], dipole_full[start + rows])
         amps[0] = amps[n]
 
     a = amps[0]
     # undo the internal gauge shift: a_m(t) = a_shifted_m(t) * exp(-i e_gs t)
     a_final = a * np.exp(-1j * eig.energies[0] * tf)
     return TimeSeries(
-        times=times,
-        amplitudes_norm=norms,
-        electron_density=e_dens,
-        phonon_density=p_dens,
         dipole_full=dipole_full,
         dt=dt,
         a_final=a_final,
         norm_final=float(np.vdot(a, a).real),
+        # the store's attributes are the sample fields; streamed, they stay None
+        **(vars(store) if store is not None else {}),
     )

@@ -575,9 +575,18 @@ def test_time_series_path_taken_by_a_directory(tmp_path, capsys, series_writer):
     assert (out / "manifest.txt").read_text().split() == ["resolved.ini"]
 
 
-def test_module_entry_point_leaves_no_process(tmp_path):
-    # the run in its own session: once it exits, nothing of the session is left
-    cfg = _write(tmp_path, TINY)
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_module_entry_point_leaves_no_process(tmp_path, status):
+    # the run in its own session: once it exits, its output is complete and
+    # nothing of the session is left
+    text = {0: TINY, 1: FAILING, 2: "[model]\nbogus = 1\n"}
+    cfg = _write(tmp_path, text[status])
+    if status == 1:
+        with pytest.raises(ValueError) as raised:
+            run_point(parse_config(cfg))
+        expected_err = f"run failed: ValueError: {raised.value}\n"
+    else:
+        expected_err = {0: "", 2: "config error: unknown key [model] bogus\n"}[status]
     out = tmp_path / "out"
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.Popen(
@@ -588,10 +597,17 @@ def test_module_entry_point_leaves_no_process(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
         start_new_session=True,
     )
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0, err
-    manifest = (out / "manifest.txt").read_text().split()
-    assert manifest == ["resolved.ini", "levels.txt", "timeseries.txt", "spectrum.txt"]
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == status, stderr
+    assert stdout == ""
+    assert stderr == expected_err
+    if status == 2:
+        assert not out.exists()
+    else:
+        manifest = (out / "manifest.txt").read_text().split()
+        artifacts = ["levels.txt", "timeseries.txt", "spectrum.txt"] if status == 0 else []
+        assert manifest == ["resolved.ini", *artifacts]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest, "manifest.txt"])
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

@@ -1,5 +1,7 @@
 """Propagator: RK4 correctness, norm behavior, observables, error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -311,15 +313,56 @@ def test_on_samples_gets_each_sample_once_in_order(n_steps, stride):
     laser = LaserParams()
     cfg = PropagationConfig(n_steps=n_steps, record_stride=stride)
     calls = []
-    ts = propagate(eig, BasisIndex(model), laser, cfg, on_samples=lambda *a: calls.append(a))
+    propagate(eig, BasisIndex(model), laser, cfg, on_samples=lambda *a: calls.append(a))
+    stored = propagate(eig, BasisIndex(model), laser, cfg)
     assert len(calls) == -(-n_steps // dynamics._BLOCK)
-    s, norm, electron, phonon, dipole = (np.concatenate(c) for c in zip(*calls))
+    s, t, norm, electron, phonon, dipole = (np.concatenate(c) for c in zip(*calls))
     assert np.array_equal(s, np.arange(n_steps // stride))
-    assert np.array_equal(sample_times(laser, cfg), ts.times)
-    assert np.array_equal(norm, ts.amplitudes_norm)
-    assert np.array_equal(electron, ts.electron_density)
-    assert np.array_equal(phonon, ts.phonon_density)
-    assert np.array_equal(dipole, ts.dipole_full[::stride])
+    assert np.array_equal(t, sample_times(laser, cfg))
+    assert np.array_equal(t, stored.times)
+    assert np.array_equal(norm, stored.amplitudes_norm)
+    assert np.array_equal(electron, stored.electron_density)
+    assert np.array_equal(phonon, stored.phonon_density)
+    assert np.array_equal(dipole, stored.dipole_full[::stride])
+
+
+def test_streamed_samples_are_held_once():
+    model = ModelParams(n_cells=1, phonon_cutoff=2)
+    eig = _eig(model)
+    basis = BasisIndex(model)
+    laser = LaserParams()
+    cfg = PropagationConfig(n_steps=2**16, record_stride=1)
+    stored = propagate(eig, basis, laser, cfg)
+
+    tracemalloc.start()
+    try:
+        streamed = propagate(eig, basis, laser, cfg, on_samples=lambda *a: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's amplitudes, step matrices and density products, in bytes;
+    # a stored run's samples would add 8 * (2 + 2 * n_sites) bytes each, 3 MB
+    n_ops = 2 * basis.n_sites
+    block = 16 * (dynamics._BLOCK + 1) * eig.nr * (1 + eig.nr + n_ops)
+    assert peak < streamed.dipole_full.nbytes + 4 * block
+    assert streamed.times is None
+    assert streamed.amplitudes_norm is None
+    assert streamed.electron_density is None
+    assert streamed.phonon_density is None
+    assert np.array_equal(streamed.dipole_full, stored.dipole_full)
+    assert np.array_equal(streamed.a_final, stored.a_final)
+    assert streamed.norm_final == stored.norm_final
+
+    # what the sink is handed stays as it was: a sink that keeps every
+    # block's arrays reads the stored run's samples
+    kept = []
+    propagate(eig, basis, laser, cfg, on_samples=lambda *a: kept.append(a))
+    s, t, norm, electron, phonon, dipole = (np.concatenate(c) for c in zip(*kept))
+    assert np.array_equal(t, stored.times)
+    assert np.array_equal(norm, stored.amplitudes_norm)
+    assert np.array_equal(electron, stored.electron_density)
+    assert np.array_equal(phonon, stored.phonon_density)
+    assert np.array_equal(dipole, stored.dipole_full)
 
 
 def test_on_samples_is_not_called_for_a_failed_block():
