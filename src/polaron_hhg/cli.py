@@ -32,15 +32,16 @@ The one table written while it is computed is run's ``timeseries.txt``,
 the largest.  The mode opens it through the ``stream`` callable that
 :func:`main` passes every mode, which adds the header, before the run
 starts; ``propagate`` hands it each block's samples and their times,
-the mode adds the field at those times, and a forked child formats each
-full chunk while the run steps on (:class:`_StreamedTable`).  So this
-process holds no whole-run copy of the time series: not the samples,
-which ``propagate`` then does not store, nor their times or field, only
-the chunk being filled.
+the mode adds the field at those times, and a forked child, a
+``scan.ForkedChild``, formats each full chunk while the run steps on
+(:class:`_StreamedTable`).  So this process holds no whole-run copy of
+the time series: not the samples, which ``propagate`` then does not
+store, nor their times or field, only the chunk being filled.
 The mode returns it in its place among the tables, and :func:`main`
 still lists every artifact, in order, once it is complete.  On every
-path :func:`main` reaps the child before it returns, and a failed run's
-partial time series is removed, so the manifest lists every file left.
+path :func:`main` waits for or kills the child before it returns, and a
+failed run's partial time series is removed, so the manifest lists every
+file left.
 A config it refuses, or an output directory it cannot make, is one
 ``config error`` or ``output error`` line and exit status 2.
 """
@@ -51,7 +52,6 @@ import argparse
 import configparser
 import gc
 import hashlib
-import multiprocessing
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -65,6 +65,7 @@ from .hilbert import BasisIndex, ModelParams, is_integer
 from .pulse import LaserParams, electric_field
 from .scan import (
     CONVERGENCE_WINDOW,
+    ForkedChild,
     PointFailure,
     PointResult,
     ScanSpec,
@@ -233,15 +234,15 @@ class _StreamedTable:
 
     :meth:`add` gathers rows into chunks of ``_WRITE_ROWS``, and each full
     chunk is formatted by :func:`_format_rows` at once.  Where
-    :func:`may_fork` allows it, a ``multiprocessing`` child started by
-    fork formats them: the chunks reach it through a pipe, so the caller
-    goes on computing while they are written, and the child reports back
-    through the same pipe, None once the file is complete, else its
-    exception.  Elsewhere this process formats them.  The file is opened
-    and its comment lines written here, so an unwritable path fails in the
-    caller either way.  :meth:`close` writes the last rows and returns
-    once the table is complete, or raises what the writer raised;
-    :meth:`discard` reaps the child and removes the file.
+    :func:`may_fork` allows it, a :class:`ForkedChild` formats them: the
+    chunks reach it through its pipe, so the caller goes on computing
+    while they are written, and the child's report, a failure or the
+    writer's silent exit, is raised here.  Elsewhere this process formats
+    them.  The file is opened and its comment lines written here, so an
+    unwritable path fails in the caller either way.  :meth:`close` writes
+    the last rows and returns once the table is complete, or raises what
+    the writer raised; :meth:`discard` kills the child and removes the
+    file.
     """
 
     def __init__(self, path: Path, comment_lines, n_columns: int):
@@ -254,12 +255,10 @@ class _StreamedTable:
             _write_table(self._fh, comment_lines, [])
             if may_fork():
                 self._fh.flush()
-                context = multiprocessing.get_context("fork")
-                self._conn, theirs = context.Pipe()
-                child = context.Process(target=self._serve, args=(theirs,))
-                child.start()
-                self._child = child
-                theirs.close()
+                self._child = ForkedChild(
+                    self._serve,
+                    lambda status: RuntimeError(f"{path.name} writer exited with status {status}"),
+                )
                 # the child writes through its own copy of the file
                 self._fh.close()
         except BaseException:
@@ -268,16 +267,10 @@ class _StreamedTable:
 
     def _serve(self, conn) -> None:
         # in the child: format each chunk as it comes, until an empty one
-        self._conn.close()
-        try:
-            with self._fh:
-                for data in iter(conn.recv_bytes, b""):
-                    chunk = np.frombuffer(data).reshape(-1, self._chunk.shape[1])
-                    self._fh.write(_format_rows(chunk))
-        except Exception as exc:
-            conn.send(exc)
-        else:
-            conn.send(None)
+        with self._fh:
+            for data in iter(conn.recv_bytes, b""):
+                chunk = np.frombuffer(data).reshape(-1, self._chunk.shape[1])
+                self._fh.write(_format_rows(chunk))
 
     def add(self, rows) -> None:
         """Take the next rows, a 2-D array with one column per table column."""
@@ -299,28 +292,11 @@ class _StreamedTable:
 
     def _send(self, data) -> None:
         try:
-            self._conn.send_bytes(data)
+            self._child.conn.send_bytes(data)
         except OSError:
             # the child has gone; what it reported is the error
-            self._report()
+            self._child.wait()
             raise
-
-    def _report(self) -> None:
-        """Wait for the child's report, reap it, and raise what it raised."""
-        try:
-            report = self._conn.recv()
-        except (EOFError, OSError):
-            # gone without a report
-            self._child.join()
-            report = RuntimeError(
-                f"{self.path.name} writer exited with status {self._child.exitcode}"
-            )
-        finally:
-            self._child.join()
-            self._conn.close()
-        if report is not None:
-            # sent by this process's own child
-            raise report
 
     def close(self) -> None:
         if self._held:
@@ -329,13 +305,11 @@ class _StreamedTable:
             self._fh.close()
         else:
             self._send(b"")
-            self._report()
+            self._child.wait()
 
     def discard(self) -> None:
         if self._child is not None:
             self._child.kill()
-            self._child.join()
-            self._conn.close()
         self._fh.close()
         self.path.unlink(missing_ok=True)
 

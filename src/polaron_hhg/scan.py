@@ -10,15 +10,15 @@ count and execution order.
 
 A point's H is sliced into its two chain-inversion parity sectors,
 solved at once when each holds at least ``_FORK_MIN_DIM`` states and the
-process may use two CPUs: the odd one in a forked ``multiprocessing``
-child, the even one in the calling process.  A ``multiprocessing`` child,
-such as a gamma-scan pool worker, solves them in turn, since its parent
-already uses the CPUs.  Either way each sector is solved by the same code
-on one BLAS thread, so the bits are the same, and the child is reaped
-before the solve returns or raises, on every path.  The kept states are
-then scattered from the sector bases straight into the site basis, and
-T is summed over row blocks, so the point's eigenbasis is assembled
-without a full-size temporary.
+process may use two CPUs: the odd one in a :class:`ForkedChild`, the
+even one in the calling process.  A ``multiprocessing`` child, such as a
+gamma-scan pool worker, solves them in turn, since its parent already
+uses the CPUs.  Either way each sector is solved by the same code on one
+BLAS thread, so the bits are the same.  :class:`ForkedChild` alone knows
+how a forked child, this one or the CLI's time-series writer, reports,
+dies and is reaped.  The kept states are then scattered from the sector
+bases straight into the site basis, and T is summed over row blocks, so
+the point's eigenbasis is assembled without a full-size temporary.
 
 Every bundled OpenBLAS runs one thread, for good, so every mode gives
 the same bits: serial, with a point's sectors solved at once, or in a
@@ -61,6 +61,7 @@ from .spectral import (
     eigensolve_lowest,
     harmonic_order,
     lanczos_ncv,
+    lapack_solves,
     select_nr,
     state_relevance,
     verified_basis,
@@ -306,24 +307,24 @@ def _sector_lowest(
     solves it, its levels expected to span ``spec.max_order`` laser
     quanta.  Single-vector Lanczos can miss copies of an exactly
     degenerate level, as degenerate chain levels give (v = w = 0, say).
-    So when a Lanczos block, not a whole-sector LAPACK one, holds a
-    degenerate cluster in a sector of at most ``spec.dense_threshold``
-    states, LAPACK stands in, once: it returns every pair up to the
-    filter's first cut, ``_CUT_SPANS`` spans above the sector's lowest
-    level, and up to the block's top level, which lies at or above the
-    sector's ``count``-th (Cauchy interlacing), so at least ``count``.
-    The cut lies beyond ``spec.max_order`` quanta above the ground state,
-    so the growth loop of :func:`solve_eigenbasis` asks nothing more of
-    the sector unless no level of the window reaches that order; then it
-    doubles the block, as for any other.  A larger sector keeps the
-    Lanczos block, with a warning.  The default coupling grids at N=3,
-    L=3 or 4 hold no cluster within 1e-9 at gamma != 0.
+    So when a Lanczos block, not a LAPACK one (see ``lapack_solves``),
+    holds a degenerate cluster in a sector of at most
+    ``spec.dense_threshold`` states, LAPACK stands in, once: it returns
+    every pair up to the filter's first cut, ``_CUT_SPANS`` spans above
+    the sector's lowest level, and up to the block's top level, which
+    lies at or above the sector's ``count``-th (Cauchy interlacing), so at
+    least ``count``.  The cut lies beyond ``spec.max_order`` quanta above
+    the ground state, so the growth loop of :func:`solve_eigenbasis` asks
+    nothing more of the sector unless no level of the window reaches that
+    order; then it doubles the block, as for any other.  A larger sector
+    keeps the Lanczos block, with a warning.  The default coupling grids
+    at N=3, L=3 or 4 hold no cluster within 1e-9 at gamma != 0.
     """
     if spec.model.gamma == 0:
         return _decoupled_lowest(spec.model, basis, sector, op, count)
     span = spec.max_order * spec.laser.omega_l
     eig = eigensolve_lowest(op, count, span)
-    if lanczos_ncv(op.dim, count) == op.dim or len(degenerate_clusters(eig.energies)) == eig.nr:
+    if lapack_solves(op.dim, count) or len(degenerate_clusters(eig.energies)) == eig.nr:
         return eig
     if op.dim > spec.dense_threshold:
         logger.warning(
@@ -348,6 +349,70 @@ def may_fork() -> bool:
     return hasattr(os, "fork") and cpus >= 2 and multiprocessing.parent_process() is None
 
 
+class ForkedChild:
+    """``target(conn)`` run in a ``multiprocessing`` child started by fork.
+
+    The child inherits every input, so nothing is serialised on the way
+    in.  ``conn`` is the child's end of a duplex pipe, and :attr:`conn`
+    this process's end.  Once ``target`` returns, the child reports
+    through the pipe: None, or the exception ``target`` raised.
+    :meth:`wait` takes that report, reaps the child and raises the
+    exception here, with its type, message and attributes.  A child that
+    exits without a report, killed or crashed or failing to send it,
+    reads as the exception ``lost(exitcode)``, raised the same way.  If
+    this process is interrupted while it waits, by any exception, the
+    child is killed and reaped before that exception goes on.
+    :meth:`kill` ends and reaps the child at once, for a caller that
+    gives up on it; after :meth:`wait` it does nothing more.  So a caller
+    that calls :meth:`kill` on every path that does not reach
+    :meth:`wait` leaves no child behind.
+    """
+
+    def __init__(self, target: Callable, lost: Callable):
+        context = multiprocessing.get_context("fork")
+        self.conn, theirs = context.Pipe()
+        self._lost = lost
+        self._process = context.Process(target=self._run, args=(target, theirs))
+        self._process.start()
+        # with this process's copy of the child's end closed, the pipe reads
+        # EOF once the child is gone
+        theirs.close()
+
+    def _run(self, target: Callable, conn) -> None:
+        # in the child
+        self.conn.close()
+        try:
+            target(conn)
+        except Exception as exc:
+            conn.send(exc)
+        else:
+            conn.send(None)
+
+    def wait(self) -> None:
+        """Wait for the child's report, reap it, and raise what it raised."""
+        try:
+            report = self.conn.recv()
+        except (EOFError, OSError):
+            # gone without a report
+            self._process.join()
+            report = self._lost(self._process.exitcode)
+        except BaseException:
+            self._process.kill()
+            raise
+        finally:
+            self._process.join()
+            self.conn.close()
+        if report is not None:
+            # sent by this process's own child
+            raise report
+
+    def kill(self) -> None:
+        """End the child, if it still runs, and reap it."""
+        self._process.kill()
+        self._process.join()
+        self.conn.close()
+
+
 def _fork_sectors(dims) -> bool:
     """Whether :func:`_solve_sectors` solves sectors of these dims at once."""
     return len(dims) == 2 and min(dims) >= _FORK_MIN_DIM and may_fork()
@@ -362,31 +427,26 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     solved at the same time when :func:`may_fork` allows it (see
     :func:`_fork_sectors`); any others are solved one after the other.
     At once, this process solves the even sector and a
-    ``multiprocessing`` child started by fork the odd one, so the child
-    inherits every input and nothing is serialised on the way in.  The
-    child writes its energies and vectors straight into an
-    anonymous shared mapping, whose views are the odd sector's result,
-    so they do not go through the pipe either: this process would then
-    hold their serialised bytes and the arrays rebuilt from them at once.
-    A one-way pipe carries its report: None on success, else its
-    exception, which is raised here with its type, message and residuals.
-    A child that dies without reporting is an ``EigensolveError`` naming
-    the odd sector and its exit status.  The child is reaped before this
-    returns or raises; if this process's own solve fails, the child is
-    killed first.
+    :class:`ForkedChild` the odd one.  The child writes its energies and
+    vectors straight into an anonymous shared mapping, whose views are
+    the odd sector's result, so they do not go through the pipe: this
+    process would then hold their serialised bytes and the arrays rebuilt
+    from them at once.  The child's failure is raised here as it raised
+    it, residuals included, and a child that dies without reporting is an
+    ``EigensolveError`` naming the odd sector and its exit status.  If
+    this process's own solve fails, the child is killed, not waited for.
 
     OpenBLAS's fork handler stops its thread pools first, so unless the
     caller runs threads of its own the process forks with one thread.
     """
     for sector, op, count in jobs:
-        ncv = lanczos_ncv(op.dim, count)
         # the solver that runs: see _sector_lowest and eigensolve_lowest
         if spec.model.gamma == 0:
             solver = "decoupled"
-        elif ncv >= op.dim:
+        elif lapack_solves(op.dim, count):
             solver = "lapack"
         else:
-            solver = f"ncv {ncv}"
+            solver = f"ncv {lanczos_ncv(op.dim, count)}"
         name = ("even", "odd")[sector]
         logger.debug("%s sector: dim %d, %d pairs, %s", name, op.dim, count, solver)
     dims = [op.dim for _, op, _ in jobs]
@@ -398,41 +458,22 @@ def _solve_sectors(spec: ScanSpec, basis: BasisIndex, jobs: list) -> list[EigenB
     _, op, count = odd
     shared = np.frombuffer(mmap.mmap(-1, 8 * count * (op.dim + 1)), dtype=np.float64)
     theirs = EigenBasis(energies=shared[:count], vectors=shared[count:].reshape(op.dim, count))
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
 
-    def solve_odd():
-        try:
-            eig = _sector_lowest(spec, basis, *odd)
-            theirs.energies[:] = eig.energies
-            theirs.vectors[:] = eig.vectors
-        except Exception as exc:
-            sender.send(exc)
-        else:
-            sender.send(None)
+    def solve_odd(conn):
+        eig = _sector_lowest(spec, basis, *odd)
+        theirs.energies[:] = eig.energies
+        theirs.vectors[:] = eig.vectors
 
-    child = context.Process(target=solve_odd)
-    child.start()
-    # with this process's write end closed, recv() sees EOF once the child is gone
-    sender.close()
+    child = ForkedChild(
+        solve_odd,
+        lambda status: EigensolveError(f"odd sector: solver process exited with status {status}"),
+    )
     try:
         mine = _sector_lowest(spec, basis, *even)
-        try:
-            report = receiver.recv()
-        except EOFError:
-            child.join()
-            report = EigensolveError(
-                f"odd sector: solver process exited with status {child.exitcode}"
-            )
     except BaseException:
         child.kill()
         raise
-    finally:
-        child.join()
-        receiver.close()
-    if report is not None:
-        # sent by this process's own child
-        raise report
+    child.wait()
     return [mine, theirs]
 
 
@@ -457,9 +498,11 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     Problems*, 2nd ed., ch. 8), handed the energy of ``spec.max_order``
     laser quanta as the span its levels are expected to cover, which
     places the filter's first cut.  LAPACK solves a block spanning nearly
-    the whole sector.  Degenerate levels, which single-vector Lanczos can
-    miss copies of, are handled in ``_sector_lowest``: at gamma = 0 the
-    block is built exactly, and elsewhere LAPACK may stand in for it.
+    the whole sector, or one too large for Lanczos, as a large
+    ``spec.nr_override`` asks (see ``lapack_solves``).  Degenerate levels,
+    which single-vector Lanczos can miss copies of, are handled in
+    ``_sector_lowest``: at gamma = 0 the block is built exactly, and
+    elsewhere LAPACK may stand in for it.
 
     The merged energies choose ``nr``, and only the kept vectors are
     lifted back to the site basis: each sector's kept columns, scaled by

@@ -25,7 +25,10 @@ make reliable; the pipeline decides what to do about such levels (see
 LAPACK (dense, lowest-``count`` subset) solves where the Lanczos search
 space would hold the whole operator, ``count + 40 >= dim``: there Lanczos
 would be a dense solve at greater cost, and the filter cannot help,
-since its cut would have to clear nearly the whole spectrum.
+since its cut would have to clear nearly the whole spectrum.  It also
+solves a block of more than half the operator, and one too large for
+Lanczos to converge on, whose top levels lie too close together (see
+:func:`lapack_solves`, the one statement of this rule).
 Every path returns ascending energies, orthonormal vectors with a fixed
 sign convention, and verified residuals (:func:`verified_basis`); every
 failure is an :class:`EigensolveError`.
@@ -49,6 +52,16 @@ logger = logging.getLogger(__name__)
 # 2 count + 1 (49 at 24 pairs) a sector solve near gamma = 0 restarts so
 # often that it takes 3-6 times longer
 _NCV_SLACK = 40
+# count * sqrt(dim) above which a block of count pairs of a dim-state
+# operator goes to LAPACK (see lapack_solves).  Lanczos must tell the top
+# wanted level from the slack's levels just above it, and these lie closer
+# together the more levels are wanted and the larger the operator.  Even
+# sectors at gamma -0.025, one BLAS thread, pairs (load): dim 12288
+# converged for 150 (1.7e4) in 3.3 s, but not for 200 (2.2e4); 8192 for 150
+# (1.4e4), not for 250 (2.3e4); 2187, the paper's, for 437 (2.0e4) in
+# 3.0 s, not for 500 (2.3e4); 1250 for 600 (2.1e4).  LAPACK takes 1.0-1.7 s
+# for 24-700 pairs of dim 2187
+_LANCZOS_MAX_LOAD = 16000
 
 # Degree d of the Chebyshev filter.  Both sectors of N=3, L=4 (dim 12288
 # each) at gamma -0.024 / -0.002, one BLAS thread, s, min of 2: d = 4
@@ -132,6 +145,20 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def lanczos_ncv(dim: int, count: int) -> int:
     """Size of the Lanczos search space for ``count`` pairs of a ``dim``-state operator."""
     return min(dim, count + _NCV_SLACK)
+
+
+def lapack_solves(dim: int, count: int) -> bool:
+    """Whether :func:`eigensolve_lowest` hands ``count`` pairs of a
+    ``dim``-state operator to LAPACK, not to Lanczos.
+
+    LAPACK solves where the Lanczos search space would hold the whole
+    operator; where the block is more than half of it, so that the
+    filter's first cuts fall below its top level and each costs a failed
+    ARPACK run (384 of 512 levels took 1.05 s filtered, 0.59 s unfiltered
+    and 0.09 s by LAPACK); and where the block is too large for Lanczos to
+    converge on, ``count * sqrt(dim)`` above ``_LANCZOS_MAX_LOAD``.
+    """
+    return lanczos_ncv(dim, count) >= dim or 2 * count > dim or count * dim**0.5 > _LANCZOS_MAX_LOAD
 
 
 def _verify(h, energies: np.ndarray, vectors: np.ndarray) -> None:
@@ -270,20 +297,21 @@ def eigensolve_lowest(op: SparseOperator, count: int, span: float = np.inf) -> E
     """Lowest ``count`` eigenpairs of a symmetric operator, ascending.
 
     ARPACK Lanczos on a Chebyshev filter of the operator, from a fixed
-    start vector, in a search space of :func:`lanczos_ncv` vectors,
-    wherever that space is smaller than the operator (``count + 40 <
-    dim``; see ``_arpack_lowest``), and LAPACK elsewhere.  ``span`` is the
-    energy above the lowest level that the caller expects the ``count``
-    levels to cover.  It places the filter's first cut; the default, no
-    estimate, puts it halfway up the operator's Gershgorin range.  A cut
-    below a wanted level is raised, a bounded number of times.  Raises
-    :class:`EigensolveError` on non-convergence, on a cut it cannot
-    clear, or on bad residuals.
+    start vector, in a search space of :func:`lanczos_ncv` vectors (see
+    ``_arpack_lowest``), and LAPACK where :func:`lapack_solves` says so:
+    where that space would hold the whole operator, or the block is more
+    than half of it or too large for Lanczos to converge on.  ``span`` is
+    the energy above the lowest level that the caller expects the
+    ``count`` levels to cover.  It places the filter's first cut; the
+    default, no estimate, puts it halfway up the operator's Gershgorin
+    range.  A cut below a wanted level is raised, a bounded number of
+    times.  Raises :class:`EigensolveError` on non-convergence, on a cut
+    it cannot clear, or on bad residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:
         raise ValueError(f"count {count} outside [1, {dim}]")
-    if lanczos_ncv(dim, count) >= dim:
+    if lapack_solves(dim, count):
         return verified_basis(op, *_lapack_lowest(op, count))
     return verified_basis(op, *_arpack_lowest(op, count, span))
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: the expensive reference runs are computed once per session."""
+"""Shared fixtures: the expensive reference runs are computed once per session,
+and every test is checked to leave no ``multiprocessing`` child behind."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,6 +11,13 @@ import polaron_hhg as ph
 # Propagation with sparse density sampling; the dipole (and hence the
 # spectrum) is always recorded at full step resolution.
 _SCAN_CFG = ph.PropagationConfig(n_steps=2**16, record_stride=64)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a ``multiprocessing`` child unreaped."""
+    yield
+    assert not multiprocessing.active_children()
 
 
 @pytest.fixture(scope="session")

@@ -159,6 +159,24 @@ def test_override_past_the_first_cut(gamma):
     assert np.abs(eig.energies - exact[:60]).max() <= 1e-12
 
 
+def test_override_too_large_for_lanczos(eig3, caplog):
+    # 700 pairs of each 2187-state sector of the paper's point are more than
+    # Lanczos converges on, so LAPACK solves them, and says so
+    model = ModelParams()
+    with caplog.at_level(logging.DEBUG, logger="polaron_hhg.scan"):
+        eig = solve_eigenbasis(ScanSpec(model=model, laser=LASER, nr_override=700))
+    assert [r.getMessage() for r in caplog.records] == [
+        "even sector: dim 2187, 700 pairs, lapack",
+        "odd sector: dim 2187, 700 pairs, lapack",
+    ]
+    assert eig.nr == 700
+    assert np.abs(eig.energies[: eig3.nr] - eig3.energies).max() <= 1e-10
+    h = build_hamiltonian(model, BasisIndex(model)).matrix
+    residuals = np.linalg.norm(h @ eig.vectors - eig.vectors * eig.energies, axis=0)
+    assert residuals.max() <= 1e-8
+    assert np.abs(eig.vectors.T @ eig.vectors - np.eye(700)).max() <= 1e-10
+
+
 def test_zero_max_order_keeps_the_ground_state():
     # a span of 0 gives the filter no height to double, so the first cut
     # goes halfway up the spectrum instead
@@ -778,6 +796,41 @@ def test_failed_even_sector_does_not_wait_for_the_child(monkeypatch):
     start = time.monotonic()
     with pytest.raises(ValueError, match="even sector failed"):
         solve_eigenbasis(ARPACK_SPEC)
+    assert time.monotonic() - start < 10.0
+    assert len(forks) == 1
+    _assert_no_child_left(forks)
+
+
+def test_interrupted_wait_kills_the_child(monkeypatch):
+    # an exception raised in this process while it waits for the odd
+    # sector, here by a timer set once the even sector is solved, kills the
+    # sleeping child instead of waiting for it
+    forks = _forking(monkeypatch)
+    parent = os.getpid()
+    original = scan._sector_lowest
+
+    class Alarm(BaseException):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    def odd_sleeps(spec, basis, sector, *args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        eig = original(spec, basis, sector, *args)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        return eig
+
+    monkeypatch.setattr(scan, "_sector_lowest", odd_sleeps)
+    previous = signal.signal(signal.SIGALRM, ring)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Alarm):
+            solve_eigenbasis(ARPACK_SPEC)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 10.0
     assert len(forks) == 1
     _assert_no_child_left(forks)

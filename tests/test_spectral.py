@@ -19,6 +19,7 @@ from polaron_hhg.spectral import (
     degenerate_clusters,
     eigensolve_lowest,
     harmonic_order,
+    lapack_solves,
     select_nr,
     state_relevance,
     transition_matrix,
@@ -31,6 +32,23 @@ def _solve(model, count=None, **kw):
     basis = BasisIndex(model)
     h = build_hamiltonian(model, basis)
     return eigensolve_lowest(h, count or basis.dim, **kw)
+
+
+@pytest.mark.parametrize(
+    "dim, count, lapack",
+    [
+        (32, 24, True),  # the Lanczos space would hold the whole operator
+        (162, 60, False),
+        (162, 121, True),  # more than half the operator
+        (512, 384, True),
+        (2187, 24, False),  # the paper's sectors
+        (2187, 500, True),  # too large for Lanczos to converge on
+        (12288, 24, False),
+        (12288, 200, True),
+    ],
+)
+def test_lapack_takes_the_blocks_lanczos_does_badly(dim, count, lapack):
+    assert lapack_solves(dim, count) is lapack
 
 
 def test_six_site_phononless_spectrum():
