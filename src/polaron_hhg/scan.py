@@ -498,11 +498,11 @@ def solve_eigenbasis(spec: ScanSpec) -> EigenBasis:
     Problems*, 2nd ed., ch. 8), handed the energy of ``spec.max_order``
     laser quanta as the span its levels are expected to cover, which
     places the filter's first cut.  LAPACK solves a block spanning nearly
-    the whole sector, or one too large for Lanczos, as a large
-    ``spec.nr_override`` asks (see ``lapack_solves``).  Degenerate levels,
-    which single-vector Lanczos can miss copies of, are handled in
-    ``_sector_lowest``: at gamma = 0 the block is built exactly, and
-    elsewhere LAPACK may stand in for it.
+    the whole sector, or, in a sector small enough to hold dense, one too
+    large for Lanczos, as a large ``spec.nr_override`` asks (see
+    ``lapack_solves``).  Degenerate levels, which single-vector Lanczos
+    can miss copies of, are handled in ``_sector_lowest``: at gamma = 0
+    the block is built exactly, and elsewhere LAPACK may stand in for it.
 
     The merged energies choose ``nr``, and only the kept vectors are
     lifted back to the site basis: each sector's kept columns, scaled by

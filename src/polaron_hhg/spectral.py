@@ -25,10 +25,10 @@ make reliable; the pipeline decides what to do about such levels (see
 LAPACK (dense, lowest-``count`` subset) solves where the Lanczos search
 space would hold the whole operator, ``count + 40 >= dim``: there Lanczos
 would be a dense solve at greater cost, and the filter cannot help,
-since its cut would have to clear nearly the whole spectrum.  It also
-solves a block of more than half the operator, and one too large for
-Lanczos to converge on, whose top levels lie too close together (see
-:func:`lapack_solves`, the one statement of this rule).
+since its cut would have to clear nearly the whole spectrum.  In an
+operator small enough to hold dense, it also solves a block of more
+than half the operator, and one too large for Lanczos to converge on
+reliably (see :func:`lapack_solves`, the one statement of this rule).
 Every path returns ascending energies, orthonormal vectors with a fixed
 sign convention, and verified residuals (:func:`verified_basis`); every
 failure is an :class:`EigensolveError`.
@@ -52,15 +52,21 @@ logger = logging.getLogger(__name__)
 # 2 count + 1 (49 at 24 pairs) a sector solve near gamma = 0 restarts so
 # often that it takes 3-6 times longer
 _NCV_SLACK = 40
-# count * sqrt(dim) above which a block of count pairs of a dim-state
-# operator goes to LAPACK (see lapack_solves).  Lanczos must tell the top
-# wanted level from the slack's levels just above it, and these lie closer
-# together the more levels are wanted and the larger the operator.  Even
-# sectors at gamma -0.025, one BLAS thread, pairs (load): dim 12288
-# converged for 150 (1.7e4) in 3.3 s, but not for 200 (2.2e4); 8192 for 150
-# (1.4e4), not for 250 (2.3e4); 2187, the paper's, for 437 (2.0e4) in
-# 3.0 s, not for 500 (2.3e4); 1250 for 600 (2.1e4).  LAPACK takes 1.0-1.7 s
-# for 24-700 pairs of dim 2187
+# states up to which LAPACK may also take a large block (see lapack_solves):
+# its dense matrix is at most 200 MB, as for the stand-in of
+# scan._sector_lowest at its default dense_threshold.  Whatever the count,
+# one BLAS thread, s: dim 1250 0.4-0.6, 2187 1.4-1.6, 2592 2.0-2.7, 4802
+# 9.3-10.7, with a peak RSS of 508 MB; dim 139968 would need 157 GB
+_LAPACK_MAX_DIM = 5000
+# count * sqrt(dim) above which a block of a sector of at most
+# _LAPACK_MAX_DIM states goes to LAPACK.  The filter's cut lands near a
+# wanted level, and its raises overshoot, more often the larger the block.
+# Both sectors at gamma -0.01, -0.025 and -0.05 of dims 1250, 2187, 2592
+# and 4802, one BLAS thread: above the bound (loads 1.6e4 and 2.4e4)
+# Lanczos failed on 25 of 42 blocks, after 2-11 s, and took 2.1-4.3 s
+# where it converged (2.4-2.8 s at dim 4802, where LAPACK takes 10 s);
+# below it (200 pairs, and loads 1.1e4) it failed on 3 of 48, all at
+# gamma -0.01
 _LANCZOS_MAX_LOAD = 16000
 
 # Degree d of the Chebyshev filter.  Both sectors of N=3, L=4 (dim 12288
@@ -152,13 +158,17 @@ def lapack_solves(dim: int, count: int) -> bool:
     ``dim``-state operator to LAPACK, not to Lanczos.
 
     LAPACK solves where the Lanczos search space would hold the whole
-    operator; where the block is more than half of it, so that the
-    filter's first cuts fall below its top level and each costs a failed
-    ARPACK run (384 of 512 levels took 1.05 s filtered, 0.59 s unfiltered
-    and 0.09 s by LAPACK); and where the block is too large for Lanczos to
-    converge on, ``count * sqrt(dim)`` above ``_LANCZOS_MAX_LOAD``.
+    operator.  In an operator of at most ``_LAPACK_MAX_DIM`` states, whose
+    dense matrix is small, it also solves a block of more than half of
+    it, whose filter's first cuts fall below its top level and each cost
+    a failed ARPACK run (384 of 512 levels took 1.05 s filtered, 0.59 s
+    unfiltered and 0.09 s by LAPACK), and a block too large for Lanczos
+    to converge on reliably, ``count * sqrt(dim)`` above
+    ``_LANCZOS_MAX_LOAD``.  A larger operator keeps Lanczos for every
+    block that leaves it 40 levels out.
     """
-    return lanczos_ncv(dim, count) >= dim or 2 * count > dim or count * dim**0.5 > _LANCZOS_MAX_LOAD
+    large = 2 * count > dim or count * dim**0.5 > _LANCZOS_MAX_LOAD
+    return lanczos_ncv(dim, count) >= dim or (dim <= _LAPACK_MAX_DIM and large)
 
 
 def _verify(h, energies: np.ndarray, vectors: np.ndarray) -> None:
@@ -299,14 +309,15 @@ def eigensolve_lowest(op: SparseOperator, count: int, span: float = np.inf) -> E
     ARPACK Lanczos on a Chebyshev filter of the operator, from a fixed
     start vector, in a search space of :func:`lanczos_ncv` vectors (see
     ``_arpack_lowest``), and LAPACK where :func:`lapack_solves` says so:
-    where that space would hold the whole operator, or the block is more
-    than half of it or too large for Lanczos to converge on.  ``span`` is
-    the energy above the lowest level that the caller expects the
-    ``count`` levels to cover.  It places the filter's first cut; the
-    default, no estimate, puts it halfway up the operator's Gershgorin
-    range.  A cut below a wanted level is raised, a bounded number of
-    times.  Raises :class:`EigensolveError` on non-convergence, on a cut
-    it cannot clear, or on bad residuals.
+    where that space would hold the whole operator, or, in a small
+    operator, the block is more than half of it or too large for Lanczos
+    to converge on reliably.  ``span`` is the energy above the lowest
+    level that the caller expects the ``count`` levels to cover.  It
+    places the filter's first cut; the default, no estimate, puts it
+    halfway up the operator's Gershgorin range.  A cut below a wanted
+    level is raised, a bounded number of times.  Raises
+    :class:`EigensolveError` on non-convergence, on a cut it cannot
+    clear, or on bad residuals.
     """
     dim = op.dim
     if not 1 <= count <= dim:

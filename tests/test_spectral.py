@@ -43,8 +43,15 @@ def _solve(model, count=None, **kw):
         (512, 384, True),
         (2187, 24, False),  # the paper's sectors
         (2187, 500, True),  # too large for Lanczos to converge on
+        (4802, 161, False),
+        (4802, 233, True),
+        # too large to hold dense: Lanczos keeps every block that leaves
+        # 40 levels out
         (12288, 24, False),
-        (12288, 200, True),
+        (12288, 200, False),
+        (12288, 7000, False),
+        (12288, 12260, True),
+        (139968, 48, False),  # N=3, L=6 at gamma -0.05
     ],
 )
 def test_lapack_takes_the_blocks_lanczos_does_badly(dim, count, lapack):
