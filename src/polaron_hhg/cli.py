@@ -21,7 +21,9 @@ Every other artifact is a text table: comment lines starting with
 ``# `` (the header, then any notes and the tab-separated column names),
 then rows of tab-separated numbers, each written as ``f"{x:.15g}"`` would
 write it, so integer columns read as integers.  :func:`_format_rows`
-formats them, 512 rows at a time, one ``%``-format per chunk.  Only
+formats them, 512 rows at a time: numpy and lookup tables write the
+bytes ``%.15g`` writes, and ``%`` itself the few values whose digits
+the tables cannot settle, such as zeros and near-ties.  Only
 ``failures.txt`` has text rows: a failed point's label and message.
 The library modules return arrays; this module alone knows the format.
 Each mode returns its tables, ``(name, notes, columns)``, and its failed
@@ -55,6 +57,7 @@ import hashlib
 import sys
 import typing
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +84,16 @@ from .spectral import state_relevance
 # highest harmonic order written to the spectrum, heatmap and relevance tables
 _EXPORT_MAX_ORDER = 50.0
 # rows per formatted chunk: only a chunk's rows are ever stacked into one
-# table, so a long time series adds well under a megabyte while written
+# table and laid out as text, 48 bytes a value, so a long time series adds
+# about 2 MB while written, plus 0.2 MB of tables
 _WRITE_ROWS = 512
+# decimal exponents of the smallest and the largest double
+_E_MIN, _E_MAX = -324, 308
+# how near a half a scaled value may lie before :func:`_format_rows` leaves
+# its rounding to ``%``: twice the bound on the scaling's error
+_TIE_SLACK = 4e15 * float(np.finfo(np.longdouble).eps)
+# added and taken away, rounds a long double below it to an integer
+_ROUND = 1 / np.finfo(np.longdouble).eps
 # configparser's name for its defaults section; a header is one line, so
 # no file can name it, and a [DEFAULT] section is an unknown section
 _NO_DEFAULT_SECTION = "\n"
@@ -212,10 +223,133 @@ def resolved_config_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _FormatTables:
+    """Lookup tables of :func:`_format_rows`.  A value's text is laid out
+    in six 8-byte words: sign and ``0.000`` prefix; 16 digit places, each
+    a digit byte and a slot for the point after it, the first place a pad
+    and the others the 15 digits; exponent and separator.  ``e`` below is
+    the decimal exponent less ``_E_MIN``, and a 0 byte is no text."""
+
+    decades: np.ndarray  # [e]: 10**e in long double, up to _E_MAX + 1
+    scales: np.ndarray  # [e]: 10**(14 - e) in long double
+    groups: np.ndarray  # [g]: word of the 4 digits of g, "." in every slot
+    zeros: np.ndarray  # [g]: trailing zeros of the 4 digits of g
+    layout: np.ndarray  # [16 e + n]: 16 * digits written + the one the point follows, or 0
+    keep: np.ndarray  # [layout]: mask of the digit words
+    prefix: np.ndarray  # [e + len(scales) * negative]: sign and prefix word
+    suffix: np.ndarray  # [2 e + last column]: exponent and separator word
+
+
+@cache
+def _format_tables() -> _FormatTables:
+    """The tables, built on the first call."""
+    e = np.arange(_E_MIN, _E_MAX + 2)
+    decades = np.longdouble(10) ** e.astype(np.longdouble)
+    e = e[:-1]
+    scales = np.longdouble(10) ** (14 - e).astype(np.longdouble)
+    g = np.arange(10000)
+    group_bytes = np.full((len(g), 8), ord("."), np.uint8)
+    group_bytes[:, ::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    zeros = np.count_nonzero(g[:, None] % np.array([10, 100, 1000, 10000]) == 0, axis=1)
+    zeros = zeros.astype(np.uint8)
+    # what %.15g writes of n significant digits at exponent e: in fixed
+    # notation, for -4 <= e < 15, e + 1 places before the point (none
+    # below 1), in exponent notation one; zeros fill the places before the
+    # point, and the point goes only where digits follow it
+    n = np.arange(16)
+    fixed = (e >= -4) & (e < 15)
+    before = np.where(fixed, np.maximum(e + 1, 0), 1)[:, None]
+    layout = 16 * np.maximum(n, before) + np.where(n > before, before, 0)
+    digits, point = np.divmod(np.arange(256)[:, None], 16)
+    place, is_slot = np.divmod(np.arange(32), 2)
+    keep = np.where(is_slot, (place == point) & (place > 0), (place >= 1) & (place <= digits))
+    exponents = list(zip(e.tolist(), fixed.tolist()))
+    zeros_before = [b"0." + b"0" * (-k - 1) if f and k < 0 else b"" for k, f in exponents]
+    prefix = [*zeros_before, *(b"-" + z for z in zeros_before)]
+    powers = [b"" if f else b"e%+03d" % k for k, f in exponents]
+    suffix = [p + sep for p in powers for sep in (b"\t", b"\n")]
+    return _FormatTables(
+        decades=decades,
+        scales=scales,
+        groups=group_bytes.view(np.uint64).ravel(),
+        zeros=zeros,
+        layout=layout.astype(np.uint8).ravel(),
+        keep=(keep * np.uint8(0xFF)).view(np.uint64),
+        prefix=np.array(prefix, dtype="S8").view(np.uint64),
+        suffix=np.array(suffix, dtype="S8").view(np.uint64),
+    )
+
+
 def _format_rows(chunk) -> str:
-    """The rows of the 2-D array ``chunk`` in the module's table format."""
-    row = "\t".join(["%.15g"] * chunk.shape[1]) + "\n"
-    return (row * len(chunk)) % tuple(chunk.ravel().tolist())
+    """The rows of the 2-D array ``chunk`` in the module's table format:
+    each value as ``"%.15g" % value`` writes it, byte for byte.
+
+    A finite nonzero value x of decimal exponent e, 10**e <= |x| < 10**(e+1),
+    is written from the 15-digit integer D nearest v = |x| 10**(14-e); if D
+    reaches 10**15, from 10**14 at exponent e+1.  Here e comes from
+    ``log10`` and is corrected against the tables' powers of ten, which are
+    off by at most eps = ``np.finfo(np.longdouble).eps`` relative; where
+    that decides e, |x| lies so near a power of ten that both exponents
+    give the same digits.  s = |x| times the table's 10**(14-e), in long
+    double, is v with relative error under 2 eps, so |s - v| < 2e15 eps.
+    Unless a half lies within that of s, s and v round to the same
+    integer.  Every value that ``_TIE_SLACK``, twice the bound, does not
+    clear of a half is left to ``%``, one at a time, as are zeros, nan and
+    infinities; so ``%`` alone decides what the format is.  Where long
+    double is plain double the slack exceeds a half and ``%`` writes every
+    value.  The rest is table lookups: the digits of D in 4-digit groups,
+    its trailing zeros dropped, and the point, prefix and exponent that
+    ``%.15g`` writes for that many digits at that exponent, each value in
+    a fixed row of six words whose 0 bytes are then dropped.
+    """
+    x = np.asarray(chunk, dtype=np.float64)
+    n_columns = x.shape[1]
+    x = x.ravel()
+    t = _format_tables()
+    a = np.abs(x)
+    fast = (a > 0) & (a < np.inf)
+    a[~fast] = 1.0
+    # positive, so truncated it is floored
+    e = (np.log10(a) - _E_MIN).astype(np.intp)
+    a = a.astype(np.longdouble)
+    e += a >= np.take(t.decades, e + 1)
+    e -= a < np.take(t.decades, e)
+    s = a * np.take(t.scales, e)
+    # s to the nearest integer; a tie, which way it rounds, goes to % below
+    r = s + _ROUND - _ROUND
+    fast &= np.abs((s - r).astype(np.float64)) < 0.5 - _TIE_SLACK
+    d = r.astype(np.int64)
+    up = d == 10**15
+    e += up
+    d[up] = 10**14
+    high = d // 10**8
+    low = d - high * 10**8
+    g0 = high // 10**4
+    g1 = high - g0 * 10**4
+    g2 = low // 10**4
+    g3 = low - g2 * 10**4
+    # D's trailing zeros: those of g3, and while the groups so far are all
+    # zeros, those of the group before
+    zeros = np.take(t.zeros, g3)
+    for k, g in enumerate((g2, g1, g0), 1):
+        zeros += np.where(zeros == 4 * k, np.take(t.zeros, g), 0)
+    # every index is in range; "clip" lets take write straight into words
+    words = np.empty((len(x), 6), np.uint64)
+    np.take(t.prefix, e + len(t.scales) * (x < 0), out=words[:, 0], mode="clip")
+    layout = np.take(t.layout, 16 * e + 15 - zeros)
+    np.take(t.keep, layout, axis=0, out=words[:, 1:5], mode="clip")
+    for j, g in enumerate((g0, g1, g2, g3), 1):
+        words[:, j] &= np.take(t.groups, g)
+    last = np.arange(n_columns) == n_columns - 1
+    suffix = words[:, 5].reshape(-1, n_columns)
+    np.take(t.suffix, 2 * e.reshape(-1, n_columns) + last, out=suffix, mode="clip")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        seps = np.where(slow % n_columns == n_columns - 1, "\n", "\t").tolist()
+        texts = ["%.15g%s" % pair for pair in zip(x[slow].tolist(), seps)]
+        words[slow] = np.array(texts, dtype="S48").view(np.uint64).reshape(-1, 6)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_table(fh, comment_lines, columns) -> None:

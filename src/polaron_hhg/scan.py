@@ -43,6 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import numpy as np
@@ -349,23 +350,36 @@ def may_fork() -> bool:
     return hasattr(os, "fork") and cpus >= 2 and multiprocessing.parent_process() is None
 
 
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a RuntimeError naming its type and message where ``exc``
+    cannot be pickled, or unpickled, as a pipe's ends do: one holding a
+    lambda, say, or one whose ``__init__`` takes other arguments than it
+    passes on."""
+    try:
+        ForkingPickler.loads(ForkingPickler.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
 class ForkedChild:
     """``target(conn)`` run in a ``multiprocessing`` child started by fork.
 
     The child inherits every input, so nothing is serialised on the way
     in.  ``conn`` is the child's end of a duplex pipe, and :attr:`conn`
     this process's end.  Once ``target`` returns, the child reports
-    through the pipe: None, or the exception ``target`` raised.
-    :meth:`wait` takes that report, reaps the child and raises the
-    exception here, with its type, message and attributes.  A child that
-    exits without a report, killed or crashed or failing to send it,
-    reads as the exception ``lost(exitcode)``, raised the same way.  If
-    this process is interrupted while it waits, by any exception, the
-    child is killed and reaped before that exception goes on.
-    :meth:`kill` ends and reaps the child at once, for a caller that
-    gives up on it; after :meth:`wait` it does nothing more.  So a caller
-    that calls :meth:`kill` on every path that does not reach
-    :meth:`wait` leaves no child behind.
+    through the pipe: None, or the exception ``target`` raised, or where
+    that would not come out of the pipe as it went in, a RuntimeError
+    naming its type and message (:func:`_portable`).  :meth:`wait` takes
+    that report, reaps the child and raises the exception here, with its
+    type, message and attributes.  A child that exits without a report,
+    killed or crashed or failing to send it, reads as the exception
+    ``lost(exitcode)``, raised the same way.  If this process is
+    interrupted while it waits, by any exception, the child is killed and
+    reaped before that exception goes on.  :meth:`kill` ends and reaps the
+    child at once, for a caller that gives up on it; after :meth:`wait` it
+    does nothing more.  So a caller that calls :meth:`kill` on every path
+    that does not reach :meth:`wait` leaves no child behind.
     """
 
     def __init__(self, target: Callable, lost: Callable):
@@ -384,7 +398,7 @@ class ForkedChild:
         try:
             target(conn)
         except Exception as exc:
-            conn.send(exc)
+            conn.send(_portable(exc))
         else:
             conn.send(None)
 

@@ -2,16 +2,22 @@
 
 import configparser
 import io
+import math
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron_hhg import cli, dynamics
 from polaron_hhg.cli import (
@@ -29,6 +35,7 @@ from polaron_hhg.hilbert import ModelParams
 from polaron_hhg.pulse import LaserParams, electric_field
 from polaron_hhg.scan import ScanSpec, gamma_scan, run_point, solve_eigenbasis
 from polaron_hhg.spectrum import SpectrumResult
+from table_reference import rows_text, table_text
 
 # small, fast configuration: 4 retained states, modest step count
 TINY = """
@@ -206,17 +213,106 @@ def test_write_table_matches_per_element_format():
         -rng.uniform(0.0, 1e3, n),
     ]
     columns[2][0], columns[3][0] = -0.0, 1e-300
+    comments = ["a header", "i\tt\tnorm\tn\tm"]
     buf = io.StringIO()
-    _write_table(buf, ["a header", "i\tt\tnorm\tn\tm"], columns)
+    _write_table(buf, comments, columns)
 
-    expected = ["# a header\n", "# i\tt\tnorm\tn\tm\n"]
-    for s in range(n):
-        expected.append("\t".join(f"{c[s]:.15g}" for c in columns) + "\n")
+    expected = table_text(comments, columns).splitlines(keepends=True)
     got = buf.getvalue().splitlines(keepends=True)
     assert len(got) == len(expected)
     bad = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
     assert not bad, f"line {bad[0]}: {got[bad[0]]!r} != {expected[bad[0]]!r}"
     assert "\t-0\t1e-300\t" in got[2]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _power_of_ten_and_neighbours(k: int):
+    p = float(f"1e{k}")
+    return st.sampled_from([math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)])
+
+
+# values where %.15g is hardest to match: hypothesis's own floats (nan,
+# infinities, signed zeros, subnormals, extremes), powers of ten and their
+# neighbours, the 1e-05 and 1e+15 notation switches, decimal 15-digit
+# ties, exact binary ties, and any bit pattern
+_HARD_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [
+            0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e-05, 9.99999999999999e-06, 9.999999999999995e-05,
+            0.0001, 999999999999999.4, 999999999999999.5, 999999999999999.6, 1e15,
+            1e16, 0.1, 1 / 3,
+        ]
+    ),
+    st.integers(-324, 308).flatmap(_power_of_ten_and_neighbours),
+    st.builds(
+        lambda m, k, sign: sign * float(f"{m}5e{k}"),
+        st.integers(10**14, 10**15 - 1),
+        st.integers(-340, 292),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.integers(10**14, 10**15 - 1).map(lambda m: m + 0.5),
+    st.integers(10**14, 10**15 - 1).map(lambda m: float(10 * m + 5)),
+    st.integers(0, 2**64 - 1).map(_from_bits),
+)
+
+
+@st.composite
+def _chunks(draw):
+    n_columns = draw(st.integers(1, 6))
+    values = draw(st.lists(_HARD_FLOATS, min_size=n_columns, max_size=10 * n_columns))
+    return np.array(values[: len(values) - len(values) % n_columns]).reshape(-1, n_columns)
+
+
+@pytest.mark.parametrize("slack", [cli._TIE_SLACK, 1.0], ids=["default", "every-value-by-percent"])
+@given(chunk=_chunks())
+@settings(max_examples=400, deadline=None)
+def test_format_rows_writes_each_value_as_percent_format(slack, chunk):
+    # a slack of 1 leaves every value to %; the default, most of them to the tables
+    with mock.patch.object(cli, "_TIE_SLACK", slack):
+        assert cli._format_rows(chunk) == rows_text(chunk.tolist())
+
+
+@pytest.mark.parametrize("skew", [-1e-9, 1e-9], ids=["low", "high"])
+def test_format_rows_corrects_an_inexact_log10(skew):
+    # a log10 off by a billionth puts values near a power of ten in the
+    # wrong decade, which the tables' powers of ten must correct
+    powers = [float(f"1e{k}") for k in range(-320, 309, 3)]
+    values = [math.nextafter(p, toward) for p in powers for toward in (0.0, p, math.inf)]
+    chunk = np.array(values).reshape(-1, 3)
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + skew):
+        assert cli._format_rows(chunk) == rows_text(chunk.tolist())
+
+
+def test_format_tables_powers_of_ten_are_within_eps():
+    # the slack of _format_rows assumes each power off by at most eps
+    tables = cli._format_tables()
+    eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+    exponents = range(cli._E_MIN, cli._E_MAX + 2)
+    powers = list(zip(exponents, tables.decades))
+    powers += [(14 - e, s) for e, s in zip(exponents, tables.scales)]
+    for k, power in powers:
+        exact = Fraction(10) ** k
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= eps * exact, k
+
+
+def test_importing_cli_builds_no_format_table():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import polaron_hhg.cli as cli; print(cli._format_tables.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_levels_table_format(tmp_path):
@@ -503,9 +599,7 @@ def test_streamed_time_series_is_the_table_of_the_run(tmp_path, series_writer):
     columns = [ts.times, electric_field(ts.times, spec.laser), ts.dipole_full[::3]]
     columns += [ts.amplitudes_norm, *ts.electron_density.T, *ts.phonon_density.T]
     comments = [l[2:] for l in written.splitlines() if l.startswith("# ")]
-    buf = io.StringIO()
-    _write_table(buf, comments, columns)
-    assert written == buf.getvalue()
+    assert written == table_text(comments, columns)
 
 
 def test_run_failing_mid_series_leaves_no_partial_file(

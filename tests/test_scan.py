@@ -729,6 +729,46 @@ def test_forked_sector_failure_reaches_the_caller(monkeypatch):
     _assert_no_child_left(forks)
 
 
+class _TwoArgumentError(Exception):
+    """Pickled by its message alone, which its ``__init__`` cannot take back."""
+
+    def __init__(self, point, reason):
+        super().__init__(f"{point}: {reason}")
+
+
+def _error_holding_a_lambda():
+    exc = ValueError("bad point")
+    exc.retry = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # cannot be pickled in the child
+        (_error_holding_a_lambda, "ValueError: bad point"),
+        # pickled in the child, cannot be unpickled here
+        (lambda: _TwoArgumentError("gamma -0.01", "diverged"), "_TwoArgumentError: gamma -0.01: diverged"),
+    ],
+    ids=["unpicklable", "not-unpicklable"],
+)
+def test_forked_child_error_that_does_not_round_trip_is_named(capfd, make, message):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+
+    def target(conn):
+        raise make()
+
+    child = scan.ForkedChild(target, lambda status: RuntimeError(f"lost, status {status}"))
+    pid = child._process.pid
+    with pytest.raises(RuntimeError) as info:
+        child.wait()
+    assert type(info.value) is RuntimeError
+    assert str(info.value) == message
+    _assert_no_child_left([pid])
+    assert capfd.readouterr().err == ""
+
+
 def test_arpack_error_reads_the_same_in_turn_and_at_once(monkeypatch):
     # an ArpackError does not survive pickling, so the odd sector's must
     # reach the caller as the same EigensolveError from a forked child
