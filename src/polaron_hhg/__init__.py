@@ -45,6 +45,7 @@ from .scan import (
     ScanSpec,
     convergence_study,
     correlation_map,
+    correlation_study,
     default_gamma_grid,
     gamma_scan,
     run_point,
@@ -89,6 +90,7 @@ __all__ = [
     "build_position",
     "convergence_study",
     "correlation_map",
+    "correlation_study",
     "default_gamma_grid",
     "eigensolve_lowest",
     "electric_field",

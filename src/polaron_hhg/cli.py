@@ -1,21 +1,22 @@
 """Command-line front end: config parsing, pipeline invocation, file emission.
 
 Runs are driven by a flat INI file with sections [model], [laser],
-[propagation] and [run].  Each key is a field of a settings dataclass:
-[model], [laser] and [propagation] hold the fields of ``ModelParams``,
-``LaserParams`` and ``PropagationConfig``, and [run] the other fields of
-``RunConfig``.  Every key is optional and defaults to the field's default,
-the reference parameter set.  Unknown sections or keys are errors.  This
-module only turns the text into values, a ``%`` included as written;
-each settings class checks its own values, so the library refuses
-exactly what the CLI refuses.  All artifacts land inside the ``--out``
-directory (default ``out``), which is not a config key: it names where
-the files go, not what they hold, so identical runs write identical
-files wherever they land.  Each starts with a comment header that
-records the tool version and a hash of the fully resolved
-configuration, which is echoed to ``resolved.ini``; that can be passed
-back as ``--config`` to repeat the run, and a ``manifest.txt`` lists the
-completed artifacts.
+[propagation] and [run], which together hold one ``scan.ScanSpec``.
+Each key is a field of a settings dataclass: [model], [laser] and
+[propagation] hold the fields of ``ModelParams``, ``LaserParams`` and
+``PropagationConfig``, and [run] the other fields of ``ScanSpec``.
+Every key is optional and defaults to the field's default, the
+reference parameter set.  Unknown sections or keys are errors.  This
+module only turns the text into values, a ``%`` included as written,
+and the library's results into files; each settings class checks its
+own values, so the library refuses exactly what the CLI refuses.  All
+artifacts land inside the ``--out`` directory (default ``out``), which
+is not a config key: it names where the files go, not what they hold,
+so identical runs write identical files wherever they land.  Each
+starts with a comment header that records the tool version and a hash
+of the fully resolved configuration, which is echoed to
+``resolved.ini``; that can be passed back as ``--config`` to repeat the
+run, and a ``manifest.txt`` lists the completed artifacts.
 
 Every other artifact is a text table: comment lines starting with
 ``# `` (the header, then any notes and the tab-separated column names),
@@ -23,7 +24,8 @@ then rows of tab-separated numbers, each written as ``f"{x:.15g}"`` would
 write it, so integer columns read as integers.  :func:`_format_rows`
 formats them, 512 rows at a time: numpy and lookup tables write the
 bytes ``%.15g`` writes, and ``%`` itself the few values whose digits
-the tables cannot settle, such as zeros and near-ties.  Only
+the tables cannot settle, such as zeros and near-ties; where long double
+is plain double, one ``%`` per chunk writes every value.  Only
 ``failures.txt`` has text rows: a failed point's label and message.
 The library modules return arrays; this module alone knows the format.
 Each mode returns its tables, ``(name, notes, columns)``, and its failed
@@ -56,7 +58,7 @@ import gc
 import hashlib
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import PropagationConfig
-from .hilbert import BasisIndex, ModelParams, is_integer
+from .hilbert import ModelParams
 from .pulse import LaserParams, electric_field
 from .scan import (
     CONVERGENCE_WINDOW,
@@ -73,7 +75,7 @@ from .scan import (
     PointResult,
     ScanSpec,
     convergence_study,
-    correlation_map,
+    correlation_study,
     gamma_scan,
     may_fork,
     run_point,
@@ -103,33 +105,13 @@ class ConfigError(ValueError):
     """Malformed, unknown or constraint-violating configuration input."""
 
 
-@dataclass(frozen=True)
-class RunConfig(ScanSpec):
-    """A :class:`ScanSpec` plus ``correlate_states``, the one setting only the CLI reads."""
-
-    # None = ground + top-3 coupled, written and read as "auto"
-    correlate_states: tuple[int, ...] | None = field(default=None, metadata={"none": "auto"})
-
-    def __post_init__(self):
-        super().__post_init__()
-        states = self.correlate_states
-        if states is not None and not (
-            states
-            and len(set(states)) == len(states)
-            and all(is_integer(m) and m >= 0 for m in states)
-        ):
-            raise ValueError(
-                f"correlate_states must be auto or distinct integers >= 0, got {states}"
-            )
-
-
 # INI section -> the dataclass whose fields are its keys; the first three
-# are also the names of RunConfig's fields, and [run] holds its others
+# are also the names of ScanSpec's fields, and [run] holds its others
 _SECTIONS = {
     "model": ModelParams,
     "laser": LaserParams,
     "propagation": PropagationConfig,
-    "run": RunConfig,
+    "run": ScanSpec,
 }
 
 
@@ -172,7 +154,7 @@ def _format_value(f, value) -> str:
     return repr(value)
 
 
-def parse_config(path: str | None) -> RunConfig:
+def parse_config(path: str | None) -> ScanSpec:
     """Read and validate a config file; ``None`` gives the full default set."""
     parser = configparser.ConfigParser(default_section=_NO_DEFAULT_SECTION, interpolation=None)
     if path is not None:
@@ -201,7 +183,7 @@ def parse_config(path: str | None) -> RunConfig:
             for f, kind in _section_fields(section)
             if parser.has_option(section, f.name)
         }
-        if cls is RunConfig:
+        if cls is ScanSpec:
             values.update(built)
         try:
             built[section] = cls(**values)
@@ -210,7 +192,7 @@ def parse_config(path: str | None) -> RunConfig:
     return built["run"]
 
 
-def resolved_config_text(cfg: RunConfig) -> str:
+def resolved_config_text(cfg: ScanSpec) -> str:
     """Fully resolved configuration as INI text, readable by
     :func:`parse_config`: every key of every section, in field order."""
     lines = []
@@ -297,14 +279,18 @@ def _format_rows(chunk) -> str:
     integer.  Every value that ``_TIE_SLACK``, twice the bound, does not
     clear of a half is left to ``%``, one at a time, as are zeros, nan and
     infinities; so ``%`` alone decides what the format is.  Where long
-    double is plain double the slack exceeds a half and ``%`` writes every
-    value.  The rest is table lookups: the digits of D in 4-digit groups,
-    its trailing zeros dropped, and the point, prefix and exponent that
-    ``%.15g`` writes for that many digits at that exponent, each value in
-    a fixed row of six words whose 0 bytes are then dropped.
+    double is plain double the slack is at least a half, which would leave
+    every value to ``%``, so one ``%`` formats the whole chunk and no
+    table is built.  The rest is table lookups: the digits of D in
+    4-digit groups, its trailing zeros dropped, and the point, prefix and
+    exponent that ``%.15g`` writes for that many digits at that exponent,
+    each value in a fixed row of six words whose 0 bytes are then dropped.
     """
     x = np.asarray(chunk, dtype=np.float64)
     n_columns = x.shape[1]
+    if _TIE_SLACK >= 0.5:
+        row = "\t".join(["%.15g"] * n_columns) + "\n"
+        return (row * len(x)) % tuple(x.ravel().tolist())
     x = x.ravel()
     t = _format_tables()
     a = np.abs(x)
@@ -478,14 +464,6 @@ def _stacked(blocks) -> list:
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _auto_correlate_states(eig, omega_l: float) -> list[int]:
-    """Ground state plus the three excited states coupling hardest to it."""
-    rel = state_relevance(eig, omega_l)
-    excited = [(rel[m, 1], m) for m in range(1, eig.nr)]
-    excited.sort(reverse=True)
-    return [0] + sorted(m for _, m in excited[:3])
-
-
 def _mode_levels(cfg, workers, stream):
     eig = solve_eigenbasis(cfg)
     return [_levels_table(eig.energies, state_relevance(eig, cfg.laser.omega_l))], []
@@ -543,17 +521,9 @@ def _mode_converge(cfg, workers, stream):
 
 
 def _mode_correlate(cfg, workers, stream):
-    basis = BasisIndex(cfg.model)
-    eig = solve_eigenbasis(cfg)
-    states = (
-        list(cfg.correlate_states)
-        if cfg.correlate_states is not None
-        else _auto_correlate_states(eig, cfg.laser.omega_l)
-    )
     tables = []
-    for m in states:
-        grid = correlation_map(eig, basis, m)  # refuses a state outside the kept ones
-        notes = [f"state {m}, energy {eig.energies[m]:.15g}"]
+    for m, energy, grid in correlation_study(cfg):
+        notes = [f"state {m}, energy {energy:.15g}"]
         notes.append("rows: phonon site f; columns: electron site r")
         tables.append((f"correlation_state{m}.txt", notes, list(grid.T)))
     return tables, []

@@ -1,12 +1,15 @@
-"""End-to-end pipeline runs, coupling scans and cutoff convergence studies.
+"""End-to-end pipeline runs, coupling scans, cutoff convergence studies
+and state correlation maps.
 
-A point is one :class:`ScanSpec`.  ``run_point`` composes the full chain
-— basis, sparse assembly, eigensolve, state selection, propagation,
-spectrum — for it and returns one flat :class:`PointResult`.  The scan
-drivers give each coupling or cutoff a copy of their spec with that
-value in its model, record per-point failures instead of aborting, and
-gather results by point index so the output is independent of worker
-count and execution order.
+A point is one :class:`ScanSpec`, the one class that holds every run
+setting.  ``run_point`` composes the full chain — basis, sparse
+assembly, eigensolve, state selection, propagation, spectrum — for it
+and returns one flat :class:`PointResult`.  The scan drivers give each
+coupling or cutoff a copy of their spec with that value in its model,
+record per-point failures instead of aborting, and gather results by
+point index so the output is independent of worker count and execution
+order.  :func:`correlation_study` solves one point and maps the states
+it chooses.
 
 A point's H is sliced into its two chain-inversion parity sectors,
 solved at once when each holds at least ``_FORK_MIN_DIM`` states and the
@@ -56,6 +59,7 @@ from .pulse import LaserParams
 from .spectral import (
     _CUT_SPANS,
     _DEGENERACY_TOL,
+    _LAPACK_MAX_DIM,
     EigenBasis,
     EigensolveError,
     degenerate_clusters,
@@ -102,19 +106,23 @@ class ScanSpec:
     One spec is one point: :func:`solve_eigenbasis` and :func:`run_point`
     read every setting they use from it.  ``dense_threshold`` is the
     largest parity-sector dim at which LAPACK may stand in for Lanczos
-    (see ``_sector_lowest``).
+    (see ``_sector_lowest``); its default is the largest at which LAPACK
+    takes a large block (``spectral._LAPACK_MAX_DIM``).
     ``gamma_values`` are the couplings of :func:`gamma_scan` and
     ``l_values`` the cutoffs of :func:`convergence_study`; those run one
     point per value, on a copy of the spec whose model holds that value.
-    The CLI's ``RunConfig`` extends this class, and each of these fields
-    is a key of the CLI's config.
+    ``correlate_states`` are the states of :func:`correlation_study`, or
+    None for its choice.  The CLI's config holds one spec: its [model],
+    [laser] and [propagation] sections are the nested settings, and
+    [run] the other fields.
 
     A ValueError naming the field is raised unless ``nr_override`` is
     None or an integer >= 1, ``max_order`` is finite and >= 0,
     ``dense_threshold`` is an integer >= 0,
-    ``gamma_values`` holds one or more distinct finite couplings <= 0, and
-    ``l_values`` one or more strictly ascending integer cutoffs >= 1; so
-    every scan point is valid.
+    ``gamma_values`` holds one or more distinct finite couplings <= 0,
+    ``l_values`` one or more strictly ascending integer cutoffs >= 1, and
+    ``correlate_states`` is None or one or more distinct integers >= 0;
+    so every scan point is valid.
     """
 
     model: ModelParams = field(default_factory=ModelParams)
@@ -122,11 +130,13 @@ class ScanSpec:
     propagation: PropagationConfig = field(default_factory=PropagationConfig)
     nr_override: int | None = None
     max_order: float = 45.0
-    dense_threshold: int = 5000
+    dense_threshold: int = _LAPACK_MAX_DIM
     gamma_values: tuple[float, ...] = field(
         default_factory=lambda: tuple(default_gamma_grid().tolist())
     )
     l_values: tuple[int, ...] = (1, 3, 5, 6)
+    # None = ground + top-3 coupled, written and read as "auto"
+    correlate_states: tuple[int, ...] | None = field(default=None, metadata={"none": "auto"})
 
     def __post_init__(self):
         if self.nr_override is not None and not (
@@ -148,6 +158,15 @@ class ScanSpec:
             raise ValueError(f"l_values must be one or more integer cutoffs >= 1, got {cutoffs}")
         if not all(a < b for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError(f"l_values must be strictly ascending, got {cutoffs}")
+        states = self.correlate_states
+        if states is not None and not (
+            states
+            and len(set(states)) == len(states)
+            and all(is_integer(m) and m >= 0 for m in states)
+        ):
+            raise ValueError(
+                f"correlate_states must be auto or distinct integers >= 0, got {states}"
+            )
 
 
 @dataclass(frozen=True)
@@ -697,3 +716,24 @@ def correlation_map(eig: EigenBasis, basis: BasisIndex, m: int) -> np.ndarray:
     for f in range(ns):
         out[f] = np.bincount(sites, weights=prob * basis.occupations[f], minlength=ns)
     return out
+
+
+def correlation_study(spec: ScanSpec) -> list[tuple[int, float, np.ndarray]]:
+    """``(m, energy, map)`` per state ``m`` of ``spec.correlate_states``:
+    its energy and its :func:`correlation_map`, from one solve of the
+    point.  With ``correlate_states`` None, the states are the ground
+    state and the three excited states most strongly coupled to it, by
+    |T_0m|, in ascending order.  A state outside the kept ones is refused
+    with a ValueError before any map is returned.
+    """
+    basis = BasisIndex(spec.model)
+    eig = solve_eigenbasis(spec)
+    states = spec.correlate_states
+    if states is None:
+        coupling = state_relevance(eig, spec.laser.omega_l)[:, 1]
+        # the strongest first; of equal couplings the higher state
+        excited = sorted(range(1, eig.nr), key=lambda m: (coupling[m], m), reverse=True)
+        states = [0, *sorted(excited[:3])]
+    # the maps first: correlation_map refuses a state outside the kept ones
+    maps = [correlation_map(eig, basis, m) for m in states]
+    return [(m, float(eig.energies[m]), grid) for m, grid in zip(states, maps)]

@@ -53,8 +53,9 @@ logger = logging.getLogger(__name__)
 # often that it takes 3-6 times longer
 _NCV_SLACK = 40
 # states up to which LAPACK may also take a large block (see lapack_solves):
-# its dense matrix is at most 200 MB, as for the stand-in of
-# scan._sector_lowest at its default dense_threshold.  Whatever the count,
+# its dense matrix is at most 200 MB.  It is also the default of
+# scan.ScanSpec.dense_threshold, up to which LAPACK may stand in for a
+# Lanczos block in scan._sector_lowest.  Whatever the count,
 # one BLAS thread, s: dim 1250 0.4-0.6, 2187 1.4-1.6, 2592 2.0-2.7, 4802
 # 9.3-10.7, with a peak RSS of 508 MB; dim 139968 would need 157 GB
 _LAPACK_MAX_DIM = 5000

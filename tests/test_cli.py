@@ -1,6 +1,7 @@
 """Config parsing, mode drivers, artifact layout and reproducibility."""
 
 import configparser
+import hashlib
 import io
 import math
 import multiprocessing
@@ -23,7 +24,6 @@ from polaron_hhg import cli, dynamics
 from polaron_hhg.cli import (
     _WRITE_ROWS,
     ConfigError,
-    RunConfig,
     _spectrum_table,
     _write_table,
     main,
@@ -59,7 +59,7 @@ def _write(tmp_path, text, name="cfg.ini"):
 
 def test_empty_config_gives_paper_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, ""))
-    assert cfg == RunConfig()
+    assert cfg == ScanSpec()
     assert cfg.model.v == -0.073
     assert cfg.model.w == -0.104
     assert cfg.model.gamma == -0.025
@@ -74,7 +74,7 @@ def test_empty_config_gives_paper_defaults(tmp_path):
 
 
 def test_no_config_path_gives_defaults():
-    assert parse_config(None) == RunConfig()
+    assert parse_config(None) == ScanSpec()
 
 
 def test_missing_file_rejected():
@@ -126,7 +126,7 @@ def test_invalid_configs_name_the_offender(tmp_path, snippet, needle):
 def test_run_config_refuses_empty_correlate_states():
     # the library counterpart of the config case above
     with pytest.raises(ValueError, match="^correlate_states"):
-        RunConfig(correlate_states=())
+        ScanSpec(correlate_states=())
 
 
 EVERY_RUN_KEY = """
@@ -154,8 +154,27 @@ def test_resolved_ini_reads_back_as_the_same_config(tmp_path, text):
 
 
 def test_default_gamma_grid_is_echoed_as_plain_floats():
-    assert all(type(g) is float for g in RunConfig().gamma_values)
-    assert "np." not in resolved_config_text(RunConfig())
+    assert all(type(g) is float for g in ScanSpec().gamma_values)
+    assert "np." not in resolved_config_text(ScanSpec())
+
+
+def test_default_resolved_ini_and_its_hash_are_pinned():
+    # the echo of an empty config, and the hash every artifact header
+    # carries; a renamed, reordered or re-defaulted key changes both
+    stored = Path(__file__).with_name("default_resolved.ini").read_text()
+    resolved = resolved_config_text(parse_config(None))
+    assert resolved == stored
+    echo = configparser.ConfigParser()
+    echo.read_string(resolved)
+    assert list(echo["run"]) == [
+        "nr_override",
+        "max_order",
+        "dense_threshold",
+        "gamma_values",
+        "l_values",
+        "correlate_states",
+    ]
+    assert hashlib.sha256(resolved.encode()).hexdigest()[:12] == "2833b0cfed93"
 
 
 def test_reader_and_echo_know_the_same_keys(tmp_path):
@@ -163,10 +182,10 @@ def test_reader_and_echo_know_the_same_keys(tmp_path):
         "model": ModelParams,
         "laser": LaserParams,
         "propagation": PropagationConfig,
-        "run": RunConfig,
+        "run": ScanSpec,
     }
     echo = configparser.ConfigParser()
-    echo.read_string(resolved_config_text(RunConfig()))
+    echo.read_string(resolved_config_text(ScanSpec()))
     written = {s: set(echo[s]) for s in echo.sections()}
     assert set(written) == set(classes)
     candidates = {f.name for cls in classes.values() for f in fields(cls)} | {"mystery"}
@@ -276,6 +295,16 @@ def test_format_rows_writes_each_value_as_percent_format(slack, chunk):
     # a slack of 1 leaves every value to %; the default, most of them to the tables
     with mock.patch.object(cli, "_TIE_SLACK", slack):
         assert cli._format_rows(chunk) == rows_text(chunk.tolist())
+
+
+def test_format_rows_without_long_double_builds_no_table():
+    # where long double is plain double the slack is at least a half:
+    # one % writes the chunk, and the tables are never built
+    chunk = np.array([[0.5, -0.0, 1e-300], [np.nan, np.inf, 123456789012345.6]])
+    cli._format_tables.cache_clear()
+    with mock.patch.object(cli, "_TIE_SLACK", 0.5):
+        assert cli._format_rows(chunk) == rows_text(chunk.tolist())
+    assert cli._format_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("skew", [-1e-9, 1e-9], ids=["low", "high"])
@@ -527,6 +556,18 @@ def test_correlate_mode(tmp_path):
         grid = np.array([[float(x) for x in r.split("\t")] for r in rows])
         assert grid.shape == (2, 2)
         assert (grid >= 0).all()
+
+
+def test_correlate_state_beyond_the_kept_ones_fails_whole(tmp_path, capsys):
+    # TINY keeps 2 states; state 0 is fine, but no map is written
+    cfg = _write(tmp_path, TINY + "correlate_states = 0, 99\n")
+    out = tmp_path / "corr"
+    assert main(["correlate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "correlate failed: ValueError: state index 99 outside [0, 2)\n"
+    assert captured.out == ""
+    assert (out / "manifest.txt").read_text() == "resolved.ini\n"
+    assert not list(out.glob("correlation_state*.txt"))
 
 
 def test_scan_failures_reported_with_partial_outputs(tmp_path):

@@ -20,7 +20,6 @@ from scipy.sparse.linalg import ArpackError
 
 from parity_reference import parity_projection
 from polaron_hhg import scan
-from polaron_hhg.cli import RunConfig
 from polaron_hhg.dynamics import PropagationConfig
 from polaron_hhg.hilbert import BasisIndex, ModelParams
 from polaron_hhg.operators import SparseOperator, build_hamiltonian, build_position
@@ -34,6 +33,7 @@ from polaron_hhg.scan import (
     ScanSpec,
     convergence_study,
     correlation_map,
+    correlation_study,
     default_gamma_grid,
     gamma_scan,
     run_point,
@@ -1007,9 +1007,9 @@ def test_settings_refuse_non_finite_values(cls, key, bad):
         (ScanSpec, "dense_threshold", float("nan")),
         (ScanSpec, "dense_threshold", 2.5),
         (ScanSpec, "dense_threshold", -3),
-        (RunConfig, "correlate_states", (0, 1.5)),
-        (RunConfig, "correlate_states", (1, 1)),
-        (RunConfig, "correlate_states", (-1,)),
+        (ScanSpec, "correlate_states", (0, 1.5)),
+        (ScanSpec, "correlate_states", (1, 1)),
+        (ScanSpec, "correlate_states", (-1,)),
     ],
     ids=str,
 )
@@ -1023,7 +1023,7 @@ def test_settings_take_numpy_integer_counts():
     ScanSpec(nr_override=np.int64(3), l_values=tuple(np.arange(1, 3)))
     LaserParams(n_cyc=np.int64(4))
     PropagationConfig(n_steps=np.int64(1024), record_stride=np.int32(8))
-    RunConfig(dense_threshold=np.int64(0), correlate_states=(np.int64(0), 3))
+    ScanSpec(dense_threshold=np.int64(0), correlate_states=(np.int64(0), 3))
 
 
 @pytest.mark.parametrize(
@@ -1106,6 +1106,22 @@ def test_correlation_map_ground_state_peaks_centrally(eig3, paper_model):
     grid = correlation_map(eig3, BasisIndex(paper_model), 0)
     f, r = np.unravel_index(grid.argmax(), grid.shape)
     assert f in (2, 3) and r in (2, 3)
+
+
+def test_correlation_study_picks_the_ground_and_the_three_most_coupled(
+    eig3, paper_model, paper_laser
+):
+    # the auto choice against the couplings of the same solve
+    basis = BasisIndex(paper_model)
+    study = correlation_study(ScanSpec(model=paper_model, laser=paper_laser))
+    coupling = np.abs(eig3.gs_transition[1:])
+    expected = [0, *sorted((1 + np.argsort(-coupling, kind="stable")[:3]).tolist())]
+    assert [m for m, _, _ in study] == expected
+    for m, energy, grid in study:
+        assert energy == eig3.energies[m]
+        np.testing.assert_array_equal(grid, correlation_map(eig3, basis, m))
+    spec = ScanSpec(model=paper_model, laser=paper_laser, correlate_states=(2, 0))
+    assert [m for m, _, _ in correlation_study(spec)] == [2, 0]
 
 
 def test_correlation_map_index_range(eig3, paper_model):

@@ -10,7 +10,8 @@ import pytest
 
 import polaron_hhg
 import polaron_hhg.cli  # noqa: F401  the tracer wraps names in polaron_hhg.cli
-from polaron_hhg.cli import RunConfig, parse_config
+from polaron_hhg.cli import parse_config
+from polaron_hhg.scan import ScanSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,7 +53,7 @@ def test_workload_configs_parse(monkeypatch, tmp_path, smoke):
     for name, passes in workloads.WORKLOADS.items():
         for p in itertools.islice(passes(0, smoke=smoke), 14):
             path.write_text(p.config)
-            assert isinstance(parse_config(str(path)), RunConfig), name
+            assert isinstance(parse_config(str(path)), ScanSpec), name
 
 
 # point_metrics of a traced run at N=2, L=3 (dim 324), gamma != 0: one
